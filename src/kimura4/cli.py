@@ -102,13 +102,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     face = _face(args)
     t0 = time.time()
-    member_budget = args.member_budget
-    if args.mem_budget_gb:
-        # in-memory cost is ~24 bytes per multiset (key + rows + labels)
-        member_budget = int(args.mem_budget_gb * 2**30 / 24)
     report = markov.minimal_generator_census(
         args.leaves, args.max_degree, face,
-        member_budget=member_budget,
+        member_budget=args.member_budget,
         shards=args.shards,
         cache_dir=os.environ.get("KIMURA_CACHE_DIR"),
         progress=lambda msg: print(f"  {msg}", file=sys.stderr))
@@ -258,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spill shards for large degrees (0 = in-memory only)")
     p.add_argument("--member-budget", type=int, default=60_000_000,
                    help="largest multiset count handled in memory")
-    p.add_argument("--mem-budget-gb", type=float, default=0.0,
-                   help="derive the member budget from a RAM budget")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 

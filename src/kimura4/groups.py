@@ -51,10 +51,6 @@ def apply_aut(aut: Sequence[int], g: int) -> int:
     return aut[g]
 
 
-def aut_is_homomorphism(aut: Sequence[int]) -> bool:
-    return all(aut[a ^ b] == (aut[a] ^ aut[b]) for a in ELEMENTS for b in ELEMENTS)
-
-
 def phi_quotient(g: int, h: int) -> int:
     """Class of g in G / <h> identified with Z2: 0 iff g in {0, h}.
 
@@ -120,12 +116,6 @@ def act_flow(f: int, t: int) -> int:
 
 def apply_aut_flow(aut: Sequence[int], v: int, n: int) -> int:
     return pack(aut[g] for g in unpack(v, n))
-
-
-def permute_columns(v: int, perm: Sequence[int], n: int) -> int:
-    """Packed word whose column j holds the old column perm[j]."""
-    ent = unpack(v, n)
-    return pack(ent[perm[j]] for j in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ fibers, the number of connected components under moves replacing a proper
 sub-multiset (degree <= d-1) minus one.
 
 Two tables of a fiber are one such move apart iff they share at least one
-row, and more generally one move of degree <= m apart iff they share a
-sub-multiset of d-m rows.  The big censuses therefore never enumerate
-moves: members are unioned through hashed shared sub-multisets, with a
-vectorized min-label flood doing the union-find.  A small dict-based
-reference route cross-checks the vectorized engine at toy scale.
+row, and one move of degree <= m apart iff they share t = d-m rows, so the
+big censuses (t = 1) and connectivity checks (t = d - move degree) never
+enumerate moves.  A stream of keyed multisets is split by a hash of the
+profile key into buckets, in memory or in shard files on disk, so every
+fiber lies in one bucket; one kernel numbers each bucket's fibers and
+unions members through hashed shared sub-multisets with a vectorized
+min-label flood.  A small dict-based reference route cross-checks the
+vectorized engine at toy scale.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -132,6 +136,14 @@ def census_reference(n: int, max_degree: int,
 # vectorized engine
 # ---------------------------------------------------------------------------
 
+# Node incidences (members times size-t sub-multisets) per in-memory
+# bucket: the kernel's sorts and flood run on one bucket at a time, so this
+# bounds their working set.
+BUCKET_INCIDENCES = 500_000
+
+_KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _row_key_contributions(n: int, d: int,
                            face: Optional[FaceSpec]) -> tuple[np.ndarray, np.ndarray]:
     """(flows, per-flow additive profile-key contribution).
@@ -152,28 +164,95 @@ def _row_key_contributions(n: int, d: int,
     return flows, key1
 
 
-def _fill_combos(out: np.ndarray, start: int, v: int, col: int) -> None:
-    """Fill `out` with combinations-with-repetition of range(start, v)."""
-    d = out.shape[1]
-    if col == d - 1:
-        out[:, col] = np.arange(start, v, dtype=out.dtype)
-        return
-    offset = 0
-    rest = d - col - 1
-    for i in range(start, v):
-        block = math.comb(v - i + rest - 1, rest)
-        out[offset:offset + block, col] = i
-        _fill_combos(out[offset:offset + block], i, v, col + 1)
-        offset += block
-
-
 def multiset_index_array(v: int, d: int) -> np.ndarray:
     """All nondecreasing index d-tuples over range(v), lex order."""
-    m = math.comb(v + d - 1, d)
-    dtype = np.int16 if v <= 32767 else np.int32
-    out = np.empty((m, d), dtype=dtype)
-    _fill_combos(out, 0, v, 0)
-    return out
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(v), d))
+    return np.fromiter(flat, dtype=np.int16 if v <= 32767 else np.int32,
+                       count=math.comb(v + d - 1, d) * d).reshape(-1, d)
+
+
+def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray,
+                       chunk: int = 2_000_000
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream (profile keys, row index arrays) over all degree-d multisets.
+
+    Each nondecreasing (d-2)-prefix ending in s is completed by the pairs
+    whose first index is >= s, a suffix of the lex-ordered pair list.
+    """
+    pairs = multiset_index_array(v, 2)
+    pair_keys = key1[pairs[:, 0]] + key1[pairs[:, 1]]
+    buf: list[tuple[np.ndarray, np.ndarray]] = []
+    size = 0
+    for prefix in itertools.combinations_with_replacement(range(v), d - 2):
+        s = prefix[-1] if prefix else 0
+        lo = s * v - s * (s - 1) // 2  # pairs whose first index is < s
+        rows = np.empty((len(pairs) - lo, d), dtype=pairs.dtype)
+        rows[:, :d - 2] = prefix
+        rows[:, d - 2:] = pairs[lo:]
+        buf.append((pair_keys[lo:] + sum(int(key1[i]) for i in prefix), rows))
+        size += len(rows)
+        if size >= chunk:
+            yield tuple(np.concatenate(col) for col in zip(*buf))
+            buf, size = [], 0
+    if buf:
+        yield tuple(np.concatenate(col) for col in zip(*buf))
+
+
+def _buckets(v: int, d: int, key1: np.ndarray, n_buckets: int,
+             spill_dir: Optional[str] = None,
+             progress: Optional[Callable[[str], None]] = None
+             ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every degree-d multiset as (keys, rows), one non-empty bucket at a time.
+
+    Members go to buckets by a hash of their profile key, so each fiber
+    lies in one bucket.  Buckets are held in memory, or with spill_dir
+    written to one shard file each and read back one at a time.
+    """
+    rec_dtype = np.dtype([("key", "<i8"),
+                          ("rows", np.int16 if v <= 32767 else np.int32, (d,))])
+    paths = [os.path.join(spill_dir, f"shard{j:03d}.bin")
+             for j in range(n_buckets)] if spill_dir else []
+    handles = [open(p, "wb") for p in paths]
+    parts: list[list[np.ndarray]] = [[] for _ in range(n_buckets)]
+    written = 0
+    try:
+        for keys, rows in _iter_keyed_chunks(v, d, key1):
+            sid = ((keys.astype(np.uint64) * _KEY_HASH)
+                   >> np.uint64(40)).astype(np.int64) % n_buckets
+            order = np.argsort(sid, kind="stable")
+            bounds = np.searchsorted(sid[order], np.arange(n_buckets + 1))
+            rec = np.empty(len(keys), dtype=rec_dtype)
+            rec["key"] = keys[order]
+            rec["rows"] = rows[order]
+            for j in np.flatnonzero(np.diff(bounds)):
+                if handles:
+                    rec[bounds[j]:bounds[j + 1]].tofile(handles[j])
+                else:
+                    parts[j].append(rec[bounds[j]:bounds[j + 1]])
+            written += len(keys)
+            if handles and progress and written % 20_000_000 < len(keys):
+                progress(f"degree {d}: spilled {written} multisets")
+    finally:
+        for h in handles:
+            h.close()
+    if written != math.comb(v + d - 1, d):
+        raise AssertionError(f"bucketed {written} members, "
+                             f"expected {math.comb(v + d - 1, d)}")
+    for j in range(n_buckets):
+        rec = (np.fromfile(paths[j], dtype=rec_dtype) if paths
+               else np.concatenate(parts[j] or [np.empty(0, rec_dtype)]))
+        parts[j] = []
+        if not len(rec):
+            continue
+        yield rec["key"], rec["rows"]
+        if paths and progress:
+            progress(f"degree {d}: shard {j + 1}/{n_buckets} done")
+
+
+def _n_buckets(v: int, d: int, t: int) -> int:
+    return max(1, math.comb(v + d - 1, d) * math.comb(d, t)
+               // BUCKET_INCIDENCES)
 
 
 def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
@@ -197,6 +276,43 @@ def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
         labels = new
     raise RuntimeError("label flood did not converge")
 
+
+def _components(keys: np.ndarray, rows: np.ndarray, v: int, t: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fibers and components of one bucket of degree-d members.
+
+    Sorted by profile key, each fiber is a run whose id is a cumsum over
+    run boundaries.  Members of a fiber are one move of degree <= d-t apart
+    iff they share t rows, so each size-t sub-multiset of a member's rows,
+    tagged with its fiber id, is a node the flood unions through.  Returns
+    the sorted rows and two masks over them: the first member of each
+    fiber and the least member of each component.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    m, d = rows.shape
+    starts = np.empty(m, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    labels = np.arange(m, dtype=np.int64)
+    # no move has degree < 2, so with d - t < 2 every member is isolated
+    if d - t >= 2:
+        pos = np.array(list(itertools.combinations(range(d), t))).reshape(-1, t)
+        nodes = np.broadcast_to(np.cumsum(starts) - 1, (len(pos), m))
+        row_bits = max(1, (v - 1).bit_length())
+        for k in range(t):
+            nodes = (nodes << row_bits) | rows[:, pos[:, k]].T
+        uniq, codes = np.unique(nodes, return_inverse=True)
+        codes = codes.reshape(nodes.shape).astype(
+            np.int32 if len(uniq) < 2**31 else np.int64)
+        del nodes
+        labels = _min_label_flood(labels, list(codes), len(uniq))
+    return rows, starts, labels == np.arange(m)
+
+
+# ---------------------------------------------------------------------------
+# generator census
+# ---------------------------------------------------------------------------
 
 @dataclass
 class DegreeCensus:
@@ -236,52 +352,35 @@ class CensusReport:
 
 
 def _census_degree(n: int, d: int, face: Optional[FaceSpec],
-                   member_budget: int) -> DegreeCensus:
+                   member_budget: int, shards: int,
+                   cache_dir: Optional[str],
+                   progress: Optional[Callable[[str], None]]
+                   ) -> DegreeCensus:
     t0 = time.time()
-    flows, key1 = _row_key_contributions(n, d, face)
-    v = len(flows)
+    v = len(groups.enumerate_flows(n, face))
     m_total = math.comb(v + d - 1, d)
-    if m_total > member_budget:
+    if m_total > member_budget and shards <= 0:
         raise MemoryError(
-            f"degree {d}: {m_total} multisets exceed budget {member_budget}")
-    if d == 2:
-        # no proper moves exist below degree 2, so each fiber of size s
-        # contributes s - 1 generators
-        keys = np.empty(m_total, dtype=np.int64)
-        off = 0
-        for i in range(v):
-            block = v - i
-            keys[off:off + block] = key1[i] + key1[i:]
-            off += block
-        n_fibers = int(np.unique(keys).size)
-        return DegreeCensus(d, m_total - n_fibers, n_fibers, m_total,
+            f"degree {d}: {m_total} multisets exceed budget {member_budget}; "
+            f"rerun with shards")
+    _, key1 = _row_key_contributions(n, d, face)
+
+    def count(buckets) -> DegreeCensus:
+        # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
+        fibers = components = 0
+        for keys, rows in buckets:
+            _, starts, roots = _components(keys, rows, v, 1)
+            fibers += int(np.count_nonzero(starts))
+            components += int(np.count_nonzero(roots))
+        return DegreeCensus(d, components - fibers, fibers, m_total,
                             time.time() - t0)
-    combos = multiset_index_array(v, d)
-    keys = key1[combos[:, 0].astype(np.int64)]
-    for c in range(1, d):
-        keys += key1[combos[:, c].astype(np.int64)]
-    uniq, fid = np.unique(keys, return_inverse=True)
-    n_fibers = int(uniq.size)
-    del keys, uniq
-    fid = fid.astype(np.int64)
-    # adjacency under proper moves (degree <= d-1) is exactly row sharing
-    incidences = []
-    for c in range(d):
-        incidences.append(fid * v + combos[:, c].astype(np.int64))
-    stacked = np.concatenate(incidences)
-    nodes, codes = np.unique(stacked, return_inverse=True)
-    del stacked
-    codes = codes.astype(np.int64)
-    m = combos.shape[0]
-    incs = [codes[c * m:(c + 1) * m].astype(np.int32)
-            if len(nodes) < 2**31 else codes[c * m:(c + 1) * m]
-            for c in range(d)]
-    del codes
-    labels = np.arange(m, dtype=np.int64)
-    labels = _min_label_flood(labels, incs, len(nodes))
-    components = int(np.unique(labels).size)
-    return DegreeCensus(d, components - n_fibers, n_fibers, m,
-                        time.time() - t0)
+
+    if m_total <= member_budget:
+        return count(_buckets(v, d, key1, _n_buckets(v, d, 1)))
+    base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
+    with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
+                                     ignore_cleanup_errors=True) as tmpdir:
+        return count(_buckets(v, d, key1, shards, tmpdir, progress))
 
 
 def minimal_generator_census(n: int, max_degree: int,
@@ -303,17 +402,8 @@ def minimal_generator_census(n: int, max_degree: int,
     report = CensusReport(n, str(face or ""), max_degree)
     for d in range(2, max_degree + 1):
         try:
-            v = len(groups.enumerate_flows(n, face))
-            if math.comb(v + d - 1, d) > member_budget:
-                if shards > 0:
-                    row = _census_degree_sharded(n, d, face, shards,
-                                                 cache_dir, progress)
-                else:
-                    raise MemoryError(
-                        f"degree {d}: {math.comb(v + d - 1, d)} multisets "
-                        f"exceed budget {member_budget}; rerun with shards")
-            else:
-                row = _census_degree(n, d, face, member_budget)
+            row = _census_degree(n, d, face, member_budget, shards,
+                                 cache_dir, progress)
         except MemoryError as exc:
             report.complete = False
             report.note = str(exc)
@@ -323,149 +413,6 @@ def minimal_generator_census(n: int, max_degree: int,
             progress(f"degree {d}: {row.generators} generators over "
                      f"{row.fibers} fibers ({row.elapsed_s:.1f}s)")
     return report
-
-
-# ---------------------------------------------------------------------------
-# sharded census for degrees past the in-memory budget
-# ---------------------------------------------------------------------------
-
-_TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _tri_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nondecreasing index pairs over range(m), as two columns."""
-    hit = _TRI_CACHE.get(m)
-    if hit is not None:
-        return hit
-    k = np.repeat(np.arange(m, dtype=np.int32), np.arange(m, 0, -1))
-    l = np.concatenate([np.arange(t, m, dtype=np.int32) for t in range(m)]) \
-        if m else np.empty(0, dtype=np.int32)
-    if len(_TRI_CACHE) < 1024:
-        _TRI_CACHE[m] = (k, l)
-    return k, l
-
-
-def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray,
-                       chunk: int = 2_000_000
-                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream (profile keys, row index arrays) over all degree-d multisets."""
-    buf_k: list[np.ndarray] = []
-    buf_r: list[np.ndarray] = []
-    size = 0
-
-    def flush():
-        nonlocal size
-        keys = np.concatenate(buf_k)
-        rows = np.concatenate(buf_r)
-        buf_k.clear()
-        buf_r.clear()
-        size = 0
-        return keys, rows
-
-    for prefix in itertools.combinations_with_replacement(range(v), d - 2):
-        start = prefix[-1] if prefix else 0
-        tk, tl = _tri_arrays(v - start)
-        if not len(tk):
-            continue
-        k_idx = tk + start
-        l_idx = tl + start
-        base = sum(int(key1[i]) for i in prefix)
-        keys = key1[k_idx] + key1[l_idx] + base
-        m = len(keys)
-        rows = np.empty((m, d), dtype=np.int16)
-        for c, i in enumerate(prefix):
-            rows[:, c] = i
-        rows[:, d - 2] = k_idx
-        rows[:, d - 1] = l_idx
-        buf_k.append(keys)
-        buf_r.append(rows)
-        size += m
-        if size >= chunk:
-            yield flush()
-    if size:
-        yield flush()
-
-
-def _census_degree_sharded(n: int, d: int, face: Optional[FaceSpec],
-                           shards: int, cache_dir: Optional[str],
-                           progress: Optional[Callable[[str], None]]
-                           ) -> DegreeCensus:
-    import shutil
-    import tempfile
-
-    t0 = time.time()
-    flows, key1 = _row_key_contributions(n, d, face)
-    v = len(flows)
-    base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
-    tmpdir = tempfile.mkdtemp(prefix="kimura4-census-", dir=base)
-    rec_dtype = np.dtype([("key", "<i8"), ("rows", "<i2", (d,))])
-    handles = [open(os.path.join(tmpdir, f"shard{j:03d}.bin"), "wb")
-               for j in range(shards)]
-    written = 0
-    try:
-        for keys, rows in _iter_keyed_chunks(v, d, key1):
-            sid = ((keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                   >> np.uint64(40)).astype(np.int64) % shards
-            order = np.argsort(sid, kind="stable")
-            sid_s = sid[order]
-            bounds = np.searchsorted(sid_s, np.arange(shards + 1))
-            rec = np.empty(len(keys), dtype=rec_dtype)
-            rec["key"] = keys[order]
-            rec["rows"] = rows[order]
-            for j in range(shards):
-                lo, hi = bounds[j], bounds[j + 1]
-                if hi > lo:
-                    rec[lo:hi].tofile(handles[j])
-            written += len(keys)
-            if progress and written % 20_000_000 < len(keys):
-                progress(f"degree {d}: spilled {written} multisets")
-        for h in handles:
-            h.close()
-        expected = math.comb(v + d - 1, d)
-        if written != expected:
-            raise AssertionError(
-                f"spilled {written} members, expected {expected}")
-        components = 0
-        fibers_total = 0
-        for j in range(shards):
-            path = os.path.join(tmpdir, f"shard{j:03d}.bin")
-            rec = np.fromfile(path, dtype=rec_dtype)
-            if not len(rec):
-                continue
-            order = np.argsort(rec["key"], kind="stable")
-            keys = rec["key"][order]
-            rows = rec["rows"][order]
-            del rec
-            if d == 2:
-                # no proper moves below degree 2: every member is isolated
-                fibers_total += int(np.unique(keys).size)
-                components += len(keys)
-                continue
-            fid = np.empty(len(keys), dtype=np.int64)
-            fid[0] = 0
-            np.cumsum(keys[1:] != keys[:-1], out=fid[1:])
-            fibers_total += int(fid[-1]) + 1
-            incs_raw = [fid * v + rows[:, c].astype(np.int64)
-                        for c in range(d)]
-            stacked = np.concatenate(incs_raw)
-            nodes, codes = np.unique(stacked, return_inverse=True)
-            del stacked
-            codes = codes.astype(np.int64)
-            m = len(keys)
-            incs = [codes[c * m:(c + 1) * m] for c in range(d)]
-            del codes
-            labels = _min_label_flood(np.arange(m, dtype=np.int64), incs,
-                                      len(nodes))
-            components += int(np.unique(labels).size)
-            if progress:
-                progress(f"degree {d}: shard {j + 1}/{shards} done")
-        return DegreeCensus(d, components - fibers_total, fibers_total,
-                            written, time.time() - t0)
-    finally:
-        for h in handles:
-            if not h.closed:
-                h.close()
-        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -502,45 +449,17 @@ def _connectivity_degree(n: int, d: int, move_degree: int,
     """None if every degree-d fiber is connected, else a witness pair."""
     flows, key1 = _row_key_contributions(n, d, face)
     v = len(flows)
-    combos = multiset_index_array(v, d)
-    m = combos.shape[0]
-    keys = key1[combos[:, 0].astype(np.int64)]
-    for c in range(1, d):
-        keys += key1[combos[:, c].astype(np.int64)]
-    uniq, fid = np.unique(keys, return_inverse=True)
-    del keys, uniq
-    fid = fid.astype(np.int64)
-    t = d - move_degree  # members sharing t rows are one move apart
-    # pack each size-t position subset of the sorted rows into a node key
-    row_bits = max(1, (v - 1).bit_length())
-    incidences = []
-    for pos in itertools.combinations(range(d), t):
-        sub = np.zeros(m, dtype=np.int64)
-        for p in pos:
-            sub = (sub << row_bits) | combos[:, p].astype(np.int64)
-        incidences.append(fid << (row_bits * t) | sub)
-    stacked = np.concatenate(incidences)
-    nodes, codes = np.unique(stacked, return_inverse=True)
-    del stacked
-    codes = codes.astype(np.int64)
-    incs = [codes[i * m:(i + 1) * m] for i in range(len(incidences))]
-    del codes
-    labels = _min_label_flood(np.arange(m, dtype=np.int64), incs, len(nodes))
-    components = int(np.unique(labels).size)
-    n_fibers = int(fid.max()) + 1 if m else 0
-    if components == n_fibers:
-        return None
-    # some fiber is disconnected: find it and return two representatives
-    order = np.lexsort((labels, fid))
-    fid_s, lab_s, idx_s = fid[order], labels[order], order
-    for lo in range(len(fid_s) - 1):
-        if fid_s[lo] == fid_s[lo + 1] and lab_s[lo] != lab_s[lo + 1]:
-            a = combos[idx_s[lo]]
-            b = combos[idx_s[lo + 1]]
-            ta = [groups.format_flow(int(flows[i]), n) for i in a]
-            tb = [groups.format_flow(int(flows[i]), n) for i in b]
-            return ta, tb
-    raise AssertionError("component/fiber counts disagree but no witness found")
+    t = d - move_degree
+    for keys, rows in _buckets(v, d, key1, _n_buckets(v, d, t)):
+        rows, starts, roots = _components(keys, rows, v, t)
+        split = np.flatnonzero(roots & ~starts)
+        if len(split):
+            # a second component of some fiber, and that fiber's first member
+            b = split[0]
+            a = np.flatnonzero(starts[:b])[-1]
+            return tuple([groups.format_flow(int(flows[i]), n)
+                          for i in rows[k]] for k in (a, b))
+    return None
 
 
 def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,

@@ -18,6 +18,19 @@ from . import groups
 from .tables import Table, profile_of_rows
 
 
+def _check_exchange(removed: Sequence[int], inserted: Sequence[int],
+                    n: int) -> None:
+    """Raise ValueError unless the two row multisets are compatible flows."""
+    if len(removed) != len(inserted):
+        raise ValueError("move must exchange equally many rows")
+    for v in tuple(removed) + tuple(inserted):
+        if not groups.is_flow(v, n):
+            raise ValueError(
+                f"{groups.format_flow(v, n)} is not a flow of length {n}")
+    if profile_of_rows(removed, n) != profile_of_rows(inserted, n):
+        raise ValueError("removed and inserted rows are not compatible")
+
+
 @dataclass(frozen=True)
 class Move:
     """An exchange of `removed` for the compatible multiset `inserted`."""
@@ -32,16 +45,9 @@ class Move:
         rem = tuple(sorted(removed))
         ins = tuple(sorted(inserted))
         if check:
-            if len(rem) != len(ins):
-                raise ValueError("move must exchange equally many rows")
             if rem == ins:
                 raise ValueError("trivial move (removed == inserted)")
-            for v in rem + ins:
-                if not groups.is_flow(v, n):
-                    raise ValueError(
-                        f"{groups.format_flow(v, n)} is not a flow of length {n}")
-            if profile_of_rows(rem, n) != profile_of_rows(ins, n):
-                raise ValueError("removed and inserted rows are not compatible")
+            _check_exchange(rem, ins, n)
         return cls(rem, ins, n)
 
     @property
@@ -304,6 +310,8 @@ def replay_trace(t0: Table, t1: Table, steps: Sequence[TraceStep],
         if step.move.degree > max_degree:
             raise ValueError(
                 f"move degree {step.move.degree} exceeds bound {max_degree}")
+        # a Move built without Move.make carries no guarantee
+        _check_exchange(step.move.removed, step.move.inserted, t0.n)
         if step.side == 0:
             a = apply_move(a, step.move)
         else:

@@ -9,7 +9,6 @@ construction so multiset identity is plain equality.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,17 +191,6 @@ class CountingFunctional:
         p = t.profile()
         return sum(w * p[4 * col + g] for (col, g), w in self.weights.items())
 
-    def eval_row(self, v: int, n: int) -> int:
-        return sum(
-            w
-            for (col, g), w in self.weights.items()
-            if groups.entry(v, col, n) == g
-        )
-
-
-def counting_eval(f: CountingFunctional, t: Table) -> int:
-    return f.eval(t)
-
 
 def monomial_eval(t: Table, params: Mapping[tuple[int, int], Fraction]) -> Fraction:
     """Evaluate the monomial of t: product over rows of prod_i params[i, r(i)].
@@ -224,14 +212,6 @@ def monomial_eval(t: Table, params: Mapping[tuple[int, int], Fraction]) -> Fract
 # file formats
 # ---------------------------------------------------------------------------
 
-def table_to_json(t: Table) -> dict:
-    return {"rows": t.row_strings()}
-
-
-def table_from_json(obj: Mapping) -> Table:
-    return Table.from_strings(list(obj["rows"]))
-
-
 def pair_to_json(t0: Table, t1: Table) -> dict:
     return {"t0": t0.row_strings(), "t1": t1.row_strings()}
 
@@ -247,14 +227,4 @@ def profile_to_json(t: Table) -> list[dict]:
             "col": i + 1,
             "counts": {SYMBOLS[g]: counts[g] for g in range(4)},
         })
-    return out
-
-
-def load_tables_jsonl(path: str) -> list[Table]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(table_from_json(json.loads(line)))
     return out

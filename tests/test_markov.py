@@ -132,9 +132,7 @@ def test_census_stability_across_shard_counts():
     assert a == b == census_reference(3, 4)
 
 
-def test_connectivity_flood_matches_pairwise_components():
-    # dual route: the hashed-subset label flood against pairwise
-    # multiset-diff union-find, across move bounds
+def _assert_flood_matches_pairwise():
     for move_degree in (2, 3, 4):
         flood_ok = connectivity_check(3, 5, move_degree).ok
         brute_ok = True
@@ -144,6 +142,25 @@ def test_connectivity_flood_matches_pairwise_components():
                 brute_ok = False
                 break
         assert flood_ok == brute_ok, move_degree
+
+
+def test_connectivity_flood_matches_pairwise_components():
+    # dual route: the hashed-subset label flood against pairwise
+    # multiset-diff union-find, across move bounds
+    _assert_flood_matches_pairwise()
+
+
+def test_engine_with_many_in_memory_buckets(monkeypatch):
+    # fibers spread over many buckets must give the one-bucket results
+    monkeypatch.setattr(markov, "BUCKET_INCIDENCES", 1000)
+    assert markov._n_buckets(16, 4, 1) > 10
+    assert minimal_generator_census(3, 4).counts() == census_reference(3, 4)
+    res = connectivity_check(3, 4, 2)
+    assert not res.ok and res.witness is not None
+    t0 = Table.from_strings(res.witness[0])
+    t1 = Table.from_strings(res.witness[1])
+    assert t0 != t1 and compatible(t0, t1)
+    _assert_flood_matches_pairwise()
 
 
 def test_census_report_reproducible():

@@ -154,6 +154,22 @@ def test_trace_round_trip(tmp_path):
     assert not trace_is_valid(T0_EX, T1_EX, steps, max_degree=2)
 
 
+def test_trace_rejects_unchecked_illegal_moves():
+    # each move is applied to both sides, so the sides stay equal and only a
+    # per-move check can reject the trace
+    def rows(*words):
+        return tuple(sorted(groups.parse_flow(w) for w in words))
+
+    t = Table.from_strings(["000", "abc"])
+    incompatible = Move(rows("000", "abc"), rows("0bb", "cc0"), 3)
+    uneven = Move(rows("000", "abc"), rows("0bb"), 3)
+    not_flows = Move(rows("000", "abc"), rows("ab0", "00c"), 3)
+    for bad in (incompatible, uneven, not_flows):
+        assert not trace_is_valid(t, t, [TraceStep(0, bad), TraceStep(1, bad)])
+        with pytest.raises(ValueError):
+            replay_trace(t, t, [TraceStep(0, bad)])
+
+
 # ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------
