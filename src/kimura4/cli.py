@@ -112,7 +112,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     payload["elapsed_s"] = round(time.time() - t0, 3)
     counts = ", ".join(f"d{r.degree}:{r.generators}" for r in report.rows)
     _emit(args, payload, f"census n={args.leaves} [{counts}]"
-          + ("" if report.complete else "  (partial: budget exceeded)"))
+          + ("" if report.complete else f"  (partial: {report.note})"))
     return EXIT_OK if report.complete else EXIT_BUDGET
 
 
@@ -134,7 +134,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         rec = hilbert.build_record(args.leaves, face, args.max_dilation,
                                    max_layer=args.max_layer)
     except hilbert.DilationBudgetExceeded as exc:
-        print(f"budget exceeded: {exc}")
+        print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = rec.to_json()
     summary = (f"n={args.leaves} dim {rec.dim}: H(0..{args.max_dilation}) "

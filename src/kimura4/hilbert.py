@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
@@ -26,36 +27,60 @@ from .groups import FaceSpec
 
 
 class DilationBudgetExceeded(Exception):
-    """Sumset layer outgrew the configured budget; more dilations need RAM."""
+    """A dilation is past the sumset's limits: the layer outgrew max_layer
+    keys, or its profile key does not fit 63 bits."""
 
 
 # ---------------------------------------------------------------------------
 # profile-key sumsets
 # ---------------------------------------------------------------------------
 
+# Candidates (layer key + vertex key) merged and deduplicated at a time; this
+# bounds the sumset's working set beyond the layers themselves.
+SUMSET_BUCKET = 2_000_000
+
+
 def _vertex_keys(n: int, face: Optional[FaceSpec], bits: int) -> np.ndarray:
     """psi images as packed count vectors: per column, counts of a, b, c
     in `bits`-bit fields (the count of 0 is implied by the dilation)."""
-    flows = groups.enumerate_flows(n, face)
-    keys = []
-    for v in flows:
-        key = 0
-        for i in range(n):
-            g = groups.entry(v, i, n)
-            if g:
-                key += 1 << (bits * (3 * i + (g - 1)))
-        keys.append(key)
-    return np.array(keys, dtype=np.int64)
+    syms = groups.column_symbols(groups.flows_array(n, face), n).astype(np.int64)
+    shifts = bits * (3 * np.arange(n) + np.maximum(syms - 1, 0))
+    return ((syms > 0).astype(np.int64) << shifts).sum(axis=1)
+
+
+def _next_layer(layer: np.ndarray, deltas: np.ndarray, k: int,
+                max_layer: int) -> np.ndarray:
+    """Sorted distinct keys of layer + deltas.  Each layer + delta is a sorted
+    run; key cuts (sampled) take one slice of each run per bucket of about
+    SUMSET_BUCKET candidates, and timsort merges the slices of a bucket."""
+    n_buckets = -(-len(layer) * len(deltas) // SUMSET_BUCKET)
+    sample = np.sort((layer[::max(1, len(layer) // 256), None] + deltas).ravel())
+    pick = len(sample) * np.arange(1, n_buckets) // n_buckets
+    cuts = np.concatenate(([0], sample[pick], [layer[-1] + deltas.max() + 1]))
+    bounds = np.searchsorted(layer, cuts[None, :] - deltas[:, None])
+    parts, emitted = [], 0
+    for j in range(n_buckets):
+        part = np.concatenate([layer[lo:hi] + d for d, lo, hi
+                               in zip(deltas, bounds[:, j], bounds[:, j + 1])])
+        part.sort(kind="stable")
+        part = part[np.concatenate(([True], part[1:] != part[:-1]))[:len(part)]]
+        emitted += len(part)
+        if emitted > max_layer:
+            raise DilationBudgetExceeded(
+                f"dilation {k}: more than {max_layer} profiles after "
+                f"{j + 1} of {n_buckets} buckets")
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
                    *, max_layer: int = 30_000_000,
-                   chunk: int = 400_000) -> list[int]:
+                   layer_s: Optional[list[float]] = None) -> list[int]:
     """H(0..kmax): number of distinct degree-k table profiles.
 
     Valid as the Ehrhart/Hilbert function because the polytope is normal.
-    Raises DilationBudgetExceeded when an intermediate layer would outgrow
-    max_layer keys.
+    Raises DilationBudgetExceeded as soon as a layer passes max_layer keys or
+    if the key needs over 63 bits.  Appends per-dilation seconds to layer_s.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -64,36 +89,24 @@ def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
         return values
     bits = max(2, (kmax).bit_length())
     if 3 * n * bits > 63:
-        raise ValueError(f"profile key needs {3 * n * bits} bits; "
-                         "reduce kmax or n")
+        raise DilationBudgetExceeded(
+            f"profile key needs {3 * n * bits} bits, more than 63; "
+            "reduce the dilation or n")
     deltas = _vertex_keys(n, face, bits)
     layer = np.array([0], dtype=np.int64)
-    for _ in range(kmax):
-        if len(layer) * len(deltas) > 50_000_000:
-            # chunked expansion with progressive unique-merge
-            parts = []
-            for lo in range(0, len(layer), chunk):
-                block = layer[lo:lo + chunk, None] + deltas[None, :]
-                parts.append(np.unique(block.ravel()))
-            layer = parts[0]
-            for p in parts[1:]:
-                layer = np.union1d(layer, p)
-        else:
-            layer = np.unique((layer[:, None] + deltas[None, :]).ravel())
-        if len(layer) > max_layer:
-            raise DilationBudgetExceeded(
-                f"layer of {len(layer)} profiles exceeds budget {max_layer}")
+    for k in range(1, kmax + 1):
+        t0 = time.perf_counter()
+        layer = _next_layer(layer, deltas, k, max_layer)
         values.append(int(len(layer)))
+        if layer_s is not None:
+            layer_s.append(time.perf_counter() - t0)
     return values
 
 
 def polytope_dimension(n: int, face: Optional[FaceSpec] = None) -> int:
     """Affine rank of the vertex set under the column-indicator embedding."""
-    flows = groups.enumerate_flows(n, face)
-    pts = np.zeros((len(flows), 4 * n))
-    for r, v in enumerate(flows):
-        for i in range(n):
-            pts[r, 4 * i + groups.entry(v, i, n)] = 1.0
+    syms = groups.column_symbols(groups.flows_array(n, face), n)
+    pts = np.eye(4)[syms].reshape(len(syms), 4 * n)
     return int(np.linalg.matrix_rank(pts - pts[0]))
 
 
@@ -103,16 +116,10 @@ def polytope_dimension(n: int, face: Optional[FaceSpec] = None) -> int:
 
 def expand_series(numerator: Sequence[int], denom_exp: int, kmax: int) -> list[int]:
     """Power-series coefficients of numerator(t) / (1-t)**denom_exp up to t^kmax."""
-    out = []
     e = denom_exp
-    for k in range(kmax + 1):
-        s = 0
-        for i, c in enumerate(numerator):
-            if i > k:
-                break
-            s += c * math.comb(k - i + e - 1, e - 1)
-        out.append(s)
-    return out
+    return [sum(c * math.comb(k - i + e - 1, e - 1)
+                for i, c in enumerate(numerator[:k + 1]))
+            for k in range(kmax + 1)]
 
 
 def h_numerator(values: Sequence[int], dim: int) -> list[int]:
@@ -123,12 +130,8 @@ def h_numerator(values: Sequence[int], dim: int) -> list[int]:
     more dilations are needed and ValueError is raised.
     """
     e = dim + 1
-    coeffs = []
-    for k in range(len(values)):
-        s = 0
-        for j in range(min(k, e) + 1):
-            s += (-1) ** j * math.comb(e, j) * values[k - j]
-        coeffs.append(s)
+    coeffs = [sum((-1) ** j * math.comb(e, j) * values[k - j]
+                  for j in range(min(k, e) + 1)) for k in range(len(values))]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) == len(values) and coeffs[-1] != 0:
@@ -187,6 +190,7 @@ class HilbertRecord:
     values: list[int]
     h_coeffs: list[int] = field(default_factory=list)
     ehrhart: list[str] = field(default_factory=list)
+    layer_s: list[float] = field(default_factory=list)
 
     @property
     def h_degree(self) -> int:
@@ -202,25 +206,18 @@ class HilbertRecord:
         return 1 + self.h_degree
 
     def to_json(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "face": self.face,
-            "dim": self.dim,
-            "values": self.values,
-            "h_coeffs": self.h_coeffs,
-            "h_degree": self.h_degree,
-            "a_invariant": self.a_invariant,
-            "regularity_bound": self.regularity_bound,
-            "ehrhart": self.ehrhart,
-        }
+        return {**asdict(self), "h_degree": self.h_degree,
+                "a_invariant": self.a_invariant,
+                "regularity_bound": self.regularity_bound}
 
 
 def build_record(n: int, face: Optional[FaceSpec], kmax: int,
                  *, fit: bool = True,
                  max_layer: int = 30_000_000) -> HilbertRecord:
     dim = polytope_dimension(n, face)
-    values = hilbert_values(n, face, kmax, max_layer=max_layer)
-    rec = HilbertRecord(n, str(face or ""), dim, values)
+    layer_s: list[float] = []
+    values = hilbert_values(n, face, kmax, max_layer=max_layer, layer_s=layer_s)
+    rec = HilbertRecord(n, str(face or ""), dim, values, layer_s=layer_s)
     try:
         rec.h_coeffs = h_numerator(values, dim)
     except ValueError:

@@ -144,6 +144,10 @@ BUCKET_INCIDENCES = 500_000
 _KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
+class ProfileKeyTooWide(ValueError):
+    """A degree's packed profile key does not fit 62 bits."""
+
+
 def _row_key_contributions(n: int, d: int,
                            face: Optional[FaceSpec]) -> tuple[np.ndarray, np.ndarray]:
     """(flows, per-flow additive profile-key contribution).
@@ -158,7 +162,8 @@ def _row_key_contributions(n: int, d: int,
     col_weight = np.array([0, 1, base, base * base], dtype=np.int64)
     bits = int(math.ceil(math.log2(d * base * base + 1)))
     if n * bits > 62:
-        raise ValueError("profile key too wide")
+        raise ProfileKeyTooWide(
+            f"degree {d}: profile key needs {n * bits} bits, more than 62")
     shifts = (np.arange(n, dtype=np.int64) * bits)
     key1 = (col_weight[syms] << shifts[None, :]).sum(axis=1)
     return flows, key1
@@ -404,7 +409,7 @@ def minimal_generator_census(n: int, max_degree: int,
         try:
             row = _census_degree(n, d, face, member_budget, shards,
                                  cache_dir, progress)
-        except MemoryError as exc:
+        except (MemoryError, ProfileKeyTooWide) as exc:
             report.complete = False
             report.note = str(exc)
             break

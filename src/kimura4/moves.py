@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -205,13 +204,11 @@ def _column_counts(rows: Sequence[int], n: int) -> list[tuple[int, int, int, int
 class FiberCache:
     """Memo table from sub-multiset profile to its full replacement fiber.
 
-    get_or_compute is atomic under a lock, so census/reduction workers can
-    share one instance.  Keys are (sorted column-count tuples, size).
+    Keys are (sorted column-count tuples, size).
     """
 
     def __init__(self, max_entries: int = 1 << 18):
         self._data: dict = {}
-        self._lock = threading.Lock()
         self._max = max_entries
         self.hits = 0
         self.misses = 0
@@ -219,16 +216,14 @@ class FiberCache:
     def fiber_for(self, rows: Sequence[int], n: int,
                   cap: Optional[int] = None) -> list[tuple[int, ...]]:
         key = (tuple(_column_counts(rows, n)), len(rows))
-        with self._lock:
-            hit = self._data.get(key)
-            if hit is not None:
-                self.hits += 1
-                return hit
+        hit = self._data.get(key)
+        if hit is not None:
+            self.hits += 1
+            return hit
         members = profile_fiber(rows, n, cap=cap)
-        with self._lock:
-            self.misses += 1
-            if len(self._data) < self._max:
-                self._data[key] = members
+        self.misses += 1
+        if len(self._data) < self._max:
+            self._data[key] = members
         return members
 
 

@@ -83,6 +83,19 @@ def test_census_cli_budget_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_census_cli_key_width_is_partial(tmp_path, capsys):
+    # n=13 keys need 13 * 5 bits at degree 2; the face leaves one flow
+    face = ",".join(f"{c}:{g}" for c in range(1, 14) for g in "abc")
+    out = tmp_path / "census.json"
+    rc = main(["census", "--leaves", "13", "--max-degree", "2",
+               "--face", face, "--out", str(out)])
+    assert rc == 2
+    payload = json.loads(out.read_text())
+    assert payload["complete"] is False and payload["degrees"] == []
+    assert "65 bits" in payload["note"]
+    assert "partial: degree 2" in capsys.readouterr().out
+
+
 def test_connectivity_cli(capsys):
     assert main(["connectivity", "--leaves", "3",
                  "--max-table-degree", "5"]) == 0
@@ -98,6 +111,19 @@ def test_hilbert_cli(tmp_path):
     assert rec["dim"] == 9
     assert rec["values"][1] == 16
     assert rec["regularity_bound"] == 1 + rec["h_degree"]
+    assert len(rec["layer_s"]) == 10 and all(t >= 0 for t in rec["layer_s"])
+
+
+def test_hilbert_cli_key_width_exit_code(capsys):
+    # 3 * 6 columns of 4-bit counts need 72 bits
+    assert main(["hilbert", "--leaves", "6", "--max-dilation", "8"]) == 2
+    assert "72 bits" in capsys.readouterr().out
+
+
+def test_hilbert_cli_layer_budget_exit_code(capsys):
+    assert main(["hilbert", "--leaves", "3", "--max-dilation", "5",
+                 "--max-layer", "3610"]) == 2
+    assert "dilation 4" in capsys.readouterr().out
 
 
 def test_series_cli_bundled(capsys):

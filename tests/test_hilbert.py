@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kimura4 import groups, hilbert
@@ -126,3 +128,38 @@ def test_face_records_h1_and_dimension():
 def test_dilation_budget():
     with pytest.raises(hilbert.DilationBudgetExceeded):
         hilbert_values(4, None, 8, max_layer=10_000)
+
+
+def test_dilation_budget_boundary_mid_layer(monkeypatch):
+    monkeypatch.setattr(hilbert, "SUMSET_BUCKET", 1000)
+    # n=3: H(4) = 3611 and H(5) = 13328, from 3611 * 16 candidates
+    assert hilbert_values(3, None, 5, max_layer=13328)[-1] == 13328
+    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 5"):
+        hilbert_values(3, None, 5, max_layer=13327)
+    # a budget of H(4) stops dilation 5 before its last bucket
+    with pytest.raises(hilbert.DilationBudgetExceeded) as exc:
+        hilbert_values(3, None, 5, max_layer=3611)
+    done, total = map(int, re.search(r"after (\d+) of (\d+)",
+                                      str(exc.value)).groups())
+    assert done < total == 58
+
+
+@pytest.mark.parametrize("n, face, kmax", [(3, None, 7),
+                                           (6, groups.FACE_P1, 2)])
+def test_sumset_buckets_match_unique(monkeypatch, n, face, kmax):
+    # buckets of 500 candidates: over a hundred in the last layer, and many
+    # get an empty slice of layer + delta for some deltas
+    monkeypatch.setattr(hilbert, "SUMSET_BUCKET", 500)
+    bits = max(2, kmax.bit_length())
+    deltas = hilbert._vertex_keys(n, face, bits)
+    expect = [sum(1 << (bits * (3 * i + g - 1))
+                  for i in range(n) if (g := groups.entry(v, i, n)))
+              for v in groups.enumerate_flows(n, face)]
+    assert deltas.tolist() == expect
+    layer = np.array([0], dtype=np.int64)
+    for k in range(1, kmax + 1):
+        buckets = -(-len(layer) * len(deltas) // 500)
+        got = hilbert._next_layer(layer, deltas, k, 10 ** 9)
+        layer = np.unique((layer[:, None] + deltas).ravel())
+        assert np.array_equal(got, layer), k
+    assert buckets > 10

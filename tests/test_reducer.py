@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from kimura4 import groups
-from kimura4.moves import FiberCache, apply_move, trace_is_valid
+from kimura4.moves import FiberCache, apply_move, replay_trace, trace_is_valid
 from kimura4.reducer import (Budget, PairState, find_bad_pairs, fuzz_reduce,
                              merge_columns, min_cross_k, pair_potential,
                              random_compatible_pair, reduce_hamming_3,
@@ -209,23 +209,20 @@ def test_reducer_matches_bfs_oracle_small():
 
 
 def test_budget_exhaustion_returns_partial_not_invalid():
+    # n=8 pairs reach the distance-2 search, where one node runs out; at
+    # n=7, degree 6, the pinch reduces every sampled pair without search
     rng = random.Random(8)
-    exhausted = False
-    for _ in range(200):
-        t0, t1 = random_compatible_pair(7, 6, rng)
+    for _ in range(40):
+        t0, t1 = random_compatible_pair(8, 8, rng)
         res = reduce_pair(t0, t1, node_budget=1)
         if not res.success:
-            exhausted = True
-            # partial trace must still replay legally
-            a, b = t0, t1
-            for st in res.steps:
-                if st.side == 0:
-                    a = apply_move(a, st.move)
-                else:
-                    b = apply_move(b, st.move)
             break
-    # tiny budgets may still succeed via the cheap paths; both outcomes fine
-    assert exhausted or True
+    else:
+        pytest.fail("node_budget=1 exhausted on none of 40 pairs")
+    assert res.steps and "budget" in res.message
+    # the partial trace is legal move by move and keeps the pair compatible
+    a, b = replay_trace(t0, t1, res.steps)
+    assert compatible(a, b) and a != b
 
 
 def test_sample_fiber_member_matches_profile():
