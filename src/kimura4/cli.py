@@ -118,9 +118,13 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
     face = _face(args)
-    res = markov.connectivity_check(
-        args.leaves, args.max_table_degree, args.move_degree, face,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr))
+    try:
+        res = markov.connectivity_check(
+            args.leaves, args.max_table_degree, args.move_degree, face,
+            progress=lambda msg: print(f"  {msg}", file=sys.stderr))
+    except markov.ProfileKeyTooWide as exc:
+        print(f"stopped: {exc}")
+        return EXIT_BUDGET
     _emit(args, res.to_json(),
           f"fibers of degree <= {args.max_table_degree} at n={args.leaves}: "
           + ("all connected" if res.ok else "DISCONNECTED fiber found")
@@ -204,14 +208,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     reduced = sum(p["reduced"] for p in parts)
     valid = sum(p["replay_valid"] for p in parts)
     fallbacks: dict[str, int] = {}
+    search: dict[str, int] = {}
     failures = []
     for p in parts:
         for k, v in p["fallback_cases"].items():
             fallbacks[k] = fallbacks.get(k, 0) + v
+        for k, v in p["search"].items():
+            search[k] = search.get(k, 0) + v
         failures.extend(p["failures"])
     payload = {
         "total": total, "reduced": reduced, "replay_valid": valid,
-        "fallback_cases": fallbacks, "failures": failures,
+        "fallback_cases": fallbacks, "search": search, "failures": failures,
         "elapsed_s": round(time.time() - t0, 3),
     }
     _emit(args, payload,

@@ -111,100 +111,108 @@ def _pair_replacements(rows: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """
     a, b = rows
     diff = a ^ b
-    deltas = []
-    for i in range(n):
-        d = (diff >> (2 * (n - 1 - i))) & 3
+    subsets = [(0, 0)]  # (sum of the chosen deltas, the deltas in place)
+    for sh in range(0, 2 * n, 2):
+        d = (diff >> sh) & 3
         if d:
-            deltas.append((i, d))
-    out = set()
-    m = len(deltas)
-    for mask in range(1 << m):
-        s = 0
-        for j in range(m):
-            if mask >> j & 1:
-                s ^= deltas[j][1]
-        if s:
-            continue
-        na, nb = a, b
-        for j in range(m):
-            if mask >> j & 1:
-                i, d = deltas[j]
-                sh = 2 * (n - 1 - i)
-                na ^= d << sh
-                nb ^= d << sh
-        out.add((na, nb) if na <= nb else (nb, na))
-    return sorted(out)
+            subsets += [(x ^ d, D | d << sh) for x, D in subsets]
+    return sorted({(a ^ D, b ^ D) if a ^ D <= b ^ D else (b ^ D, a ^ D)
+                   for x, D in subsets if not x})
 
 
 def profile_fiber(rows: Sequence[int], n: int,
                   cap: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All sorted row multisets sharing the profile of `rows`.
+    """All sorted row multisets sharing the profile of `rows`, ascending.
 
-    Enumerates by backtracking over rows in nondecreasing packed order,
-    pruning on remaining per-column symbol counts.  `cap` bounds the number
-    of members returned (None = exhaustive); hitting the cap raises
+    Two rows go through `_pair_replacements`.  Otherwise the candidates are
+    the flows whose every symbol occurs in the profile, ascending.  The
+    remaining column counts are packed into one int, a cell per (column,
+    symbol) with a guard bit on top of each, so a flow fits when
+    subtracting its cells leaves every guard bit set.  Rows are chosen in
+    nondecreasing order, each level keeping the candidates that still fit,
+    and the last row is read off the remaining counts.  `cap` bounds the
+    number of members returned (None = exhaustive); exceeding it raises
     FiberTooLarge so callers never mistake a truncation for the whole fiber.
     """
     s = len(rows)
-    if s == 2 and cap is None:
-        return _pair_replacements(rows, n)
-    counts = [list(c) for c in _column_counts(rows, n)]
+    if s <= 2:
+        out = _pair_replacements(rows, n) if s == 2 else [tuple(rows)]
+        if cap is not None and len(out) > cap:
+            raise FiberTooLarge(len(out))
+        return out
+    prof = profile_of_rows(rows, n)
+    width = s.bit_length() + 1  # a count up to s plus its guard bit
+    rem = guard = off = 0
+    cells = []  # per column: (symbol, its cell's unit) for present symbols
+    for i in range(n):
+        present = [g for g in range(4) if prof[4 * i + g]]
+        if len(present) == 1:
+            # every candidate carries this symbol: the count needs no cell
+            cells.append([(present[0], 0)])
+            continue
+        col = []
+        for g in present:
+            col.append((g, 1 << off))
+            rem |= prof[4 * i + g] << off
+            guard |= 1 << (off + width - 1)
+            off += width
+        cells.append(col)
+    # a flow is a head and a tail of equal xor; meeting in the middle
+    # builds no word that is not part of a flow
+    half = n // 2
+    tails: dict[int, list[tuple[int, int]]] = {}
+    for w, x, q in _words(cells[half:]):
+        tails.setdefault(x, []).append((w, q))
+    shift = 2 * (n - half)
+    pool = [((v << shift) | w, p + q) for v, x, p in _words(cells[:half])
+            for w, q in tails.get(x, ())]
+    row_of = {p: v for v, p in pool}
     out: list[tuple[int, ...]] = []
-
-    def candidates(lo: int, rows_left: int) -> Iterator[int]:
-        # enumerate flows >= lo consistent with remaining counts
-        def rec(col: int, acc: int, ssum: int, tight: bool) -> Iterator[int]:
-            if col == n - 1:
-                g = ssum
-                lo_g = (lo >> (2 * (n - 1 - col))) & 3 if tight else 0
-                if g >= lo_g and counts[col][g] > 0:
-                    yield (acc << 2) | g
-                return
-            lo_g = (lo >> (2 * (n - 1 - col))) & 3 if tight else 0
-            for g in range(4):
-                if counts[col][g] <= 0 or g < lo_g:
-                    continue
-                yield from rec(col + 1, (acc << 2) | g, ssum ^ g,
-                               tight and g == lo_g)
-        yield from rec(0, 0, 0, True)
-
-    def rec_rows(chosen: list[int], lo: int) -> None:
-        if len(chosen) == s:
-            out.append(tuple(chosen))
-            if cap is not None and len(out) > cap:
-                raise FiberTooLarge(len(out))
-            return
-        for v in candidates(lo, s - len(chosen)):
-            for i in range(n):
-                counts[i][(v >> (2 * (n - 1 - i))) & 3] -= 1
-            chosen.append(v)
-            rec_rows(chosen, v)
-            chosen.pop()
-            for i in range(n):
-                counts[i][(v >> (2 * (n - 1 - i))) & 3] += 1
-
-    rec_rows([], 0)
+    _grow(out, pool, rem, (), s, guard, row_of, cap)
     return out
+
+
+def _words(cols: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]]:
+    """(word, xor of its symbols, its cells) over `cols`, ascending."""
+    out = [(0, 0, 0)]
+    for col in cols:
+        out = [((v << 2) | g, x ^ g, p + u) for v, x, p in out
+               for g, u in col]
+    return out
+
+
+def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
+          prefix: tuple[int, ...], left: int, guard: int,
+          row_of: dict[int, int], cap: Optional[int]) -> None:
+    """Append every completion of `prefix` by `left` rows to `out`.
+
+    `cands` holds the (flow, cells) that fit the packed counts `rem`,
+    ascending from the last row of `prefix`; `row_of` maps cells to flows.
+    """
+    if left == 2:
+        for v, p in cands:
+            w = row_of.get(rem - p)
+            if w is not None and w >= v:
+                out.append(prefix + (v, w))
+        if cap is not None and len(out) > cap:
+            raise FiberTooLarge(len(out))
+        return
+    for j, (v, p) in enumerate(cands):
+        r = rem - p
+        g = r | guard
+        _grow(out, [c for c in cands[j:] if (g - c[1]) & guard == guard],
+              r, prefix + (v,), left - 1, guard, row_of, cap)
 
 
 class FiberTooLarge(Exception):
     """Raised when a replacement fiber exceeds the requested cap."""
 
 
-def _column_counts(rows: Sequence[int], n: int) -> list[tuple[int, int, int, int]]:
-    cols = []
-    for i in range(n):
-        c = [0, 0, 0, 0]
-        for v in rows:
-            c[(v >> (2 * (n - 1 - i))) & 3] += 1
-        cols.append(tuple(c))
-    return cols
-
-
 class FiberCache:
     """Memo table from sub-multiset profile to its full replacement fiber.
 
-    Keys are (sorted column-count tuples, size).
+    `hits` counts lookups answered from the table, `misses` fibers built
+    and stored, `cap_hits` builds that exceeded their cap (not stored).
     """
 
     def __init__(self, max_entries: int = 1 << 18):
@@ -212,15 +220,20 @@ class FiberCache:
         self._max = max_entries
         self.hits = 0
         self.misses = 0
+        self.cap_hits = 0
 
     def fiber_for(self, rows: Sequence[int], n: int,
                   cap: Optional[int] = None) -> list[tuple[int, ...]]:
-        key = (tuple(_column_counts(rows, n)), len(rows))
+        key = profile_of_rows(rows, n)
         hit = self._data.get(key)
         if hit is not None:
             self.hits += 1
             return hit
-        members = profile_fiber(rows, n, cap=cap)
+        try:
+            members = profile_fiber(rows, n, cap=cap)
+        except FiberTooLarge:
+            self.cap_hits += 1
+            raise
         self.misses += 1
         if len(self._data) < self._max:
             self._data[key] = members

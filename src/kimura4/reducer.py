@@ -29,8 +29,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import groups
 from .moves import (FiberCache, FiberTooLarge, Move, TraceStep, apply_move,
                     profile_fiber, trace_is_valid)
-from .tables import (Table, compatible, hamming, hamming_distance,
-                     min_hamming_pair, profile_of_rows)
+from .tables import (Table, column_mask, compatible, hamming,
+                     min_hamming_pair)
 
 
 class BudgetExhausted(Exception):
@@ -60,12 +60,22 @@ class Diagnostics:
     strategy_cases: Counter = field(default_factory=Counter)
     fallback_cases: Counter = field(default_factory=Counter)
     nodes_spent: int = 0
+    fiber_cache_hits: int = 0
+    fiber_cache_misses: int = 0
+    fiber_cap_hits: int = 0
+
+    def search_counts(self) -> dict[str, int]:
+        """Nodes expanded and replacement-fiber cache counts."""
+        return {"nodes_spent": self.nodes_spent,
+                "fiber_cache_hits": self.fiber_cache_hits,
+                "fiber_cache_misses": self.fiber_cache_misses,
+                "fiber_cap_hits": self.fiber_cap_hits}
 
     def to_json(self) -> dict:
         return {
             "strategy_cases": dict(self.strategy_cases),
             "fallback_cases": dict(self.fallback_cases),
-            "nodes_spent": self.nodes_spent,
+            **self.search_counts(),
         }
 
 
@@ -103,18 +113,40 @@ class PairState:
 
 def strip_common(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...],
                                                               tuple[int, ...]]:
-    """Remove the multiset intersection from both row tuples."""
-    ca, cb = Counter(a), Counter(b)
-    common = ca & cb
-    ra = sorted((ca - common).elements())
-    rb = sorted((cb - common).elements())
+    """Remove the multiset intersection from both row tuples.
+
+    Both inputs must be sorted, as table rows and search states are; the
+    intersection is found by one merge walk.
+    """
+    ra: list[int] = []
+    rb: list[int] = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x == y:
+            i += 1
+            j += 1
+        elif x < y:
+            ra.append(x)
+            i += 1
+        else:
+            rb.append(y)
+            j += 1
+    ra.extend(a[i:])
+    rb.extend(b[j:])
     return tuple(ra), tuple(rb)
 
 
+def _nearest(ra: Sequence[int], rb: Sequence[int], n: int) -> list[int]:
+    """Each row of ra's least Hamming distance to a row of rb."""
+    m = column_mask(n)
+    return [min([(((z := x ^ y) | z >> 1) & m).bit_count() for y in rb])
+            for x in ra]
+
+
 def min_cross_k(ra: Sequence[int], rb: Sequence[int], n: int) -> int:
-    if not ra:
-        return 0
-    return min(hamming_distance(x, y, n) for x in ra for y in rb)
+    return min(_nearest(ra, rb, n)) if ra else 0
 
 
 def pair_potential(a: Table, b: Table) -> tuple[int, int]:
@@ -303,26 +335,36 @@ def _unwind(parents, start: SearchState, state: SearchState) -> list[TraceStep]:
 # strategy routines
 # ---------------------------------------------------------------------------
 
-def _potential_of(state: SearchState, n: int) -> tuple[int, int]:
+def _potential_below(state: SearchState, n: int, pot: tuple[int, int]) -> bool:
+    """Whether the state's (stripped degree, min cross Hamming distance) is
+    below `pot`, measuring distances only on a tie in degree."""
     ra, rb = strip_common(state[0], state[1])
-    return len(ra), min_cross_k(ra, rb, n)
+    if len(ra) != pot[0] or not ra:
+        return (len(ra), 0) < pot
+    return min_cross_k(ra, rb, n) < pot[1]
 
 
 def _score_potential(state: SearchState, n: int) -> tuple:
     ra, rb = strip_common(state[0], state[1])
     if not ra:
         return (0, 0, 0)
-    k = min_cross_k(ra, rb, n)
-    spread = sum(min(hamming_distance(x, y, n) for y in rb) for x in ra)
-    return (len(ra), k, spread)
+    near = _nearest(ra, rb, n)
+    return (len(ra), min(near), sum(near))
 
 
 def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
-    """A same-table degree-2 move strictly decreasing the pair potential."""
+    """A same-table degree-2 move strictly decreasing the pair potential.
+
+    The tables share no row, as after strip_common, so every other row is
+    at least the minimal cross distance k from the opposite table.  A
+    replacement pair therefore lowers the potential exactly when one of
+    its rows lies closer than k to a row of the opposite table: at
+    distance 0 the stripped degree drops, otherwise the distance does.
+    """
     n = a.n
-    pot0 = pair_potential(a, b)
-    for side, t in ((0, a), (1, b)):
-        rows = t.rows
+    m = column_mask(n)
+    k = min_cross_k(a.rows, b.rows, n)
+    for side, rows, other in ((0, a.rows, b.rows), (1, b.rows, a.rows)):
         tried: set[tuple[int, int]] = set()
         for i, j in itertools.combinations(range(len(rows)), 2):
             u, v = rows[i], rows[j]
@@ -330,16 +372,10 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
                 continue
             tried.add((u, v))
             for repl in profile_fiber((u, v), n):
-                if repl == (u, v) or repl == (min(u, v), max(u, v)):
-                    continue
-                keep = list(rows)
-                keep.remove(u)
-                keep.remove(v)
-                new_rows = tuple(sorted(keep + list(repl)))
-                state = (new_rows, b.rows) if side == 0 else (a.rows, new_rows)
-                if _potential_of(state, n) < pot0:
-                    return TraceStep(side, Move((min(u, v), max(u, v)),
-                                                repl, n))
+                if repl != (u, v) and any(
+                        (((z := w ^ y) | z >> 1) & m).bit_count() < k
+                        for w in repl for y in other):
+                    return TraceStep(side, Move((u, v), repl, n))
     return None
 
 
@@ -370,7 +406,7 @@ def reduce_hamming_ge4(state: PairState, budget: Budget,
         pot0 = (len(ra), k)
         found = pair_search(
             Table(ra, n), Table(rb, n),
-            goal=lambda s: _potential_of(s, n) < pot0,
+            goal=lambda s: _potential_below(s, n, pot0),
             score=lambda s: _score_potential(s, n),
             budget=budget, max_degree=max_degree, cols=dis_cols,
             cache=cache)
@@ -396,7 +432,7 @@ def reduce_hamming_3(state: PairState, budget: Budget,
     d0, k0 = pair_potential(state.t0, state.t1)
     steps = pair_search(
         state.t0, state.t1,
-        goal=lambda s: _potential_of(s, n) < (d0, k0),
+        goal=lambda s: _potential_below(s, n, (d0, k0)),
         score=lambda s: _score_potential(s, n),
         budget=budget, max_degree=max_degree, cache=cache)
     if steps is None:
@@ -461,15 +497,19 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
     label = classify_k2_case(state.t0, state.t1, (r0, r1, k))
     diag.strategy_cases[f"k2:{label}"] += 1
 
-    # phase A: go straight for a shared row
-    steps = pair_search(
-        state.t0, state.t1,
-        goal=lambda s: _potential_of(s, n)[0] < d0,
-        score=lambda s: _score_potential(s, n),
-        budget=Budget(min(budget.nodes, 1500)), max_degree=max_degree,
-        cache=cache)
+    # phase A: go straight for a shared row, on at most 1500 of the
+    # budget's nodes
+    phase_a = Budget(min(budget.nodes, 1500))
+    allowed = phase_a.nodes
+    try:
+        steps = pair_search(
+            state.t0, state.t1,
+            goal=lambda s: len(strip_common(s[0], s[1])[0]) < d0,
+            score=lambda s: _score_potential(s, n),
+            budget=phase_a, max_degree=max_degree, cache=cache)
+    finally:
+        budget.nodes -= allowed - max(phase_a.nodes, 0)
     if steps is not None:
-        budget.spend(0)
         return steps
 
     if n < 4 or depth > n:
@@ -493,7 +533,8 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
     if bad0:
         found = pair_search(
             a, b,
-            goal=lambda s: badness(s) == 0 or _potential_of(s, n) < (d0, k0),
+            goal=lambda s: (badness(s) == 0
+                            or _potential_below(s, n, (d0, k0))),
             score=lambda s: (badness(s),) + _score_potential(s, n),
             budget=budget, max_degree=max_degree, cache=cache)
         if found is None:
@@ -504,14 +545,12 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
                 a = apply_move(a, st.move)
             else:
                 b = apply_move(b, st.move)
-        if _potential_of((a.rows, b.rows), n) < (d0, k0):
+        if _potential_below((a.rows, b.rows), n, (d0, k0)):
             return steps  # progress made outright; outer loop continues
 
     merged = merge_columns(a, b, p, q)
     sub = reduce_pair(merged.t0, merged.t1, max_degree=max_degree,
-                      node_budget=budget.nodes, _depth=depth + 1,
-                      _diag=diag)
-    budget.nodes = max(0, budget.nodes - sub.diagnostics.nodes_spent)
+                      _depth=depth + 1, _diag=diag, _budget=budget)
     if not sub.success:
         raise StrategyGap(f"k2:{label}:merged-pair-unreduced")
     lifted = merged.lift(sub.steps)
@@ -691,18 +730,29 @@ def merge_columns(t0: Table, t1: Table, p: Optional[int] = None,
 def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 node_budget: int = 10_000,
                 _depth: int = 0,
-                _diag: Optional[Diagnostics] = None) -> ReduceResult:
+                _diag: Optional[Diagnostics] = None,
+                _budget: Optional[Budget] = None) -> ReduceResult:
     """Produce a validated trace of degree-<=max_degree moves making the
     tables equal.
 
     Returns success=False with a partial trace and diagnostics when the
-    budget runs out; the partial trace is still legal move by move.
+    budget runs out; the partial trace is still legal move by move.  A
+    nested call (a merged pair) shares its caller's budget and diagnostics;
+    the outermost call records the nodes spent.
     """
     if not compatible(t0, t1):
         raise ValueError("reduce_pair needs compatible tables")
     diag = _diag if _diag is not None else Diagnostics()
-    budget = Budget(node_budget)
+    budget = _budget if _budget is not None else Budget(node_budget)
     cache = FiberCache()
+
+    def settle() -> None:
+        diag.fiber_cache_hits += cache.hits
+        diag.fiber_cache_misses += cache.misses
+        diag.fiber_cap_hits += cache.cap_hits
+        if _budget is None:
+            diag.nodes_spent += node_budget - max(budget.nodes, 0)
+
     steps: list[TraceStep] = []
     a, b = t0, t1
 
@@ -751,7 +801,7 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 diag.fallback_cases[gap.label] += 1
                 found = pair_search(
                     sa, sb,
-                    goal=lambda s: _potential_of(s, sa.n) < pot0,
+                    goal=lambda s: _potential_below(s, sa.n, pot0),
                     score=lambda s: _score_potential(s, sa.n),
                     budget=budget, max_degree=max_degree, cache=cache,
                     beam=128)
@@ -762,9 +812,9 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 new_steps = found
             apply_steps(new_steps)
     except BudgetExhausted as exc:
-        diag.nodes_spent += node_budget - budget.nodes
+        settle()
         return ReduceResult(steps, False, diag, str(exc))
-    diag.nodes_spent += node_budget - budget.nodes
+    settle()
     if _depth == 0 and not trace_is_valid(t0, t1, steps, max_degree):
         raise AssertionError("produced an invalid trace; refusing to return it")
     return ReduceResult(steps, True, diag)
@@ -855,6 +905,7 @@ class FuzzReport:
     fallbacks: Counter
     max_trace_len: int
     failures: list[dict]
+    search: Counter  # Diagnostics.search_counts summed over the pairs
 
     def to_json(self) -> dict:
         return {
@@ -862,6 +913,7 @@ class FuzzReport:
             "reduced": self.reduced,
             "replay_valid": self.replay_valid,
             "fallback_cases": dict(self.fallbacks),
+            "search": dict(self.search),
             "max_trace_len": self.max_trace_len,
             "failures": self.failures,
         }
@@ -875,6 +927,7 @@ def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
     replayed independently."""
     rng = random.Random(seed)
     fallbacks: Counter = Counter()
+    search: Counter = Counter()
     reduced = valid = 0
     max_len = 0
     failures = []
@@ -884,6 +937,7 @@ def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
         res = reduce_pair(t0, t1, max_degree=max_degree,
                           node_budget=node_budget)
         fallbacks.update(res.diagnostics.fallback_cases)
+        search.update(res.diagnostics.search_counts())
         if res.success:
             reduced += 1
             if trace_is_valid(t0, t1, res.steps, max_degree):
@@ -899,4 +953,5 @@ def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
                              "t1": t1.row_strings()})
         if progress and (i + 1) % 100 == 0:
             progress(f"{i + 1}/{count} pairs, {reduced} reduced")
-    return FuzzReport(count, reduced, valid, fallbacks, max_len, failures)
+    return FuzzReport(count, reduced, valid, fallbacks, max_len, failures,
+                      search)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import groups
 from .groups import SYMBOLS, SYM_TO_CODE
@@ -74,26 +74,16 @@ class Table:
         return tuple(remaining)
 
 
-_PROFILE_CACHE: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-
-
 def profile_of_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Flattened column counts c[i][g], i.e. the psi-sum of the rows.
 
     Entry 4*i + g is the number of rows with symbol g in column i.
     """
-    key = (tuple(rows), n)
-    hit = _PROFILE_CACHE.get(key)
-    if hit is not None:
-        return hit
     c = [0] * (4 * n)
     for v in rows:
         for i in range(n):
             c[4 * i + ((v >> (2 * (n - 1 - i))) & 3)] += 1
-    out = tuple(c)
-    if len(_PROFILE_CACHE) < 1 << 20:
-        _PROFILE_CACHE[key] = out
-    return out
+    return tuple(c)
 
 
 def compatible(t0: Table, t1: Table) -> bool:
@@ -121,14 +111,15 @@ def hamming(r0: int, r1: int, n: int) -> tuple[int, tuple[int, ...], tuple[int, 
     return len(dis), tuple(sorted(dis)), tuple(agree)
 
 
+def column_mask(n: int) -> int:
+    """The low bit of each of n packed 2-bit columns: 0b0101...01."""
+    return ((1 << 2 * n) - 1) // 3
+
+
 def hamming_distance(r0: int, r1: int, n: int) -> int:
-    diff = r0 ^ r1
-    k = 0
-    for _ in range(n):
-        if diff & 3:
-            k += 1
-        diff >>= 2
-    return k
+    """Number of columns where the rows differ, by one popcount."""
+    x = r0 ^ r1
+    return ((x | x >> 1) & column_mask(n)).bit_count()
 
 
 def min_hamming_pair(t0: Table, t1: Table) -> tuple[int, int, int]:

@@ -37,9 +37,13 @@ def test_reduce_roundtrip_with_trace(tmp_path, capsys):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(PAIR))
     trace = tmp_path / "out.trace.jsonl"
+    report = tmp_path / "reduce.json"
     rc = main(["reduce", "--input", str(pair), "--trace", str(trace),
-               "--log-cases"])
+               "--log-cases", "--out", str(report)])
     assert rc == 0
+    diag = json.loads(report.read_text())["diagnostics"]
+    assert set(diag) >= {"nodes_spent", "fiber_cache_hits",
+                         "fiber_cache_misses", "fiber_cap_hits"}
     steps = read_trace(str(trace))
     assert steps and all(s.move.degree <= 4 for s in steps)
     # independent verification path
@@ -94,6 +98,15 @@ def test_census_cli_key_width_is_partial(tmp_path, capsys):
     assert payload["complete"] is False and payload["degrees"] == []
     assert "65 bits" in payload["note"]
     assert "partial: degree 2" in capsys.readouterr().out
+
+
+def test_connectivity_cli_key_width_exit_code(capsys):
+    # 13 columns of 8-bit counts at degree 5; the face leaves one flow
+    face = ",".join(f"{c}:{g}" for c in range(1, 14) for g in "abc")
+    rc = main(["connectivity", "--leaves", "13", "--face", face,
+               "--max-table-degree", "5"])
+    assert rc == 2
+    assert "stopped: degree 5" in capsys.readouterr().out
 
 
 def test_connectivity_cli(capsys):
@@ -153,6 +166,8 @@ def test_fuzz_cli(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["reduced"] == 20 and payload["replay_valid"] == 20
+    assert set(payload["search"]) == {"nodes_spent", "fiber_cache_hits",
+                                      "fiber_cache_misses", "fiber_cap_hits"}
     assert payload["config"]["seed"] == 9
 
 

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from kimura4 import corpus, groups
-from kimura4.moves import (FiberCache, Move, TraceStep, apply_move, neighbors,
-                           profile_fiber, replay_trace, trace_is_valid)
+from kimura4.moves import (FiberCache, FiberTooLarge, Move, TraceStep,
+                           apply_move, neighbors, profile_fiber, replay_trace,
+                           trace_is_valid)
 from kimura4.tables import Table, compatible, profile_of_rows
 
 T0_EX = Table.from_strings(["aa00", "0bb0", "c00c"])
@@ -55,6 +56,53 @@ def test_pair_replacement_fiber_complete():
             if profile_of_rows((x, y), 4) == prof
         })
         assert fiber == brute
+
+
+def _brute_fibers(n, s):
+    """Every sorted s-row multiset of flows, grouped by profile, in
+    ascending order within each group."""
+    groups_by_profile = {}
+    for rows in itertools.combinations_with_replacement(
+            groups.enumerate_flows(n), s):
+        groups_by_profile.setdefault(profile_of_rows(rows, n), []).append(rows)
+    return groups_by_profile
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_profile_fiber_matches_brute_force(n, s):
+    brute = _brute_fibers(n, s)
+    profiles = list(brute)
+    if len(profiles) > 400:
+        profiles = random.Random(n * 10 + s).sample(profiles, 400)
+    for prof in profiles:
+        members = brute[prof]
+        assert profile_fiber(members[-1], n) == members
+
+
+def test_profile_fiber_cap_boundary():
+    for n, s in ((4, 2), (4, 3), (4, 4), (5, 3)):
+        rng = random.Random(s)
+        flows = groups.enumerate_flows(n)
+        checked = 0
+        while checked < 5:
+            rows = tuple(sorted(rng.choice(flows) for _ in range(s)))
+            fiber = profile_fiber(rows, n)
+            if len(fiber) < 2:
+                continue
+            assert profile_fiber(rows, n, cap=len(fiber)) == fiber
+            with pytest.raises(FiberTooLarge):
+                profile_fiber(rows, n, cap=len(fiber) - 1)
+            checked += 1
+
+
+def test_fiber_cache_counts_hits_misses_and_caps():
+    cache = FiberCache()
+    rows = tuple(sorted(groups.parse_flow(s) for s in ("aa00", "0bb0", "c00c")))
+    size = len(profile_fiber(rows, 4))
+    with pytest.raises(FiberTooLarge):
+        cache.fiber_for(rows, 4, cap=size - 1)
+    assert cache.fiber_for(rows, 4, cap=size) == cache.fiber_for(T1_EX.rows, 4)
+    assert (cache.hits, cache.misses, cache.cap_hits) == (1, 1, 1)
 
 
 def test_profile_fiber_contains_itself_and_matches_profile():

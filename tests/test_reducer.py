@@ -39,6 +39,20 @@ def test_strip_common():
     assert ra == (1, 2) and rb == (5, 9)
 
 
+def test_strip_common_matches_counter_difference():
+    def by_counter(a, b):
+        ca, cb = Counter(a), Counter(b)
+        common = ca & cb
+        return (tuple(sorted((ca - common).elements())),
+                tuple(sorted((cb - common).elements())))
+
+    rng = random.Random(12)
+    for _ in range(500):
+        a = tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 9))))
+        b = tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 9))))
+        assert strip_common(a, b) == by_counter(a, b)
+
+
 def test_find_bad_pairs():
     t = Table.from_strings(["ab0ab", "abc00", "bb000"])
     bad = find_bad_pairs(t)
@@ -223,6 +237,28 @@ def test_budget_exhaustion_returns_partial_not_invalid():
     # the partial trace is legal move by move and keeps the pair compatible
     a, b = replay_trace(t0, t1, res.steps)
     assert compatible(a, b) and a != b
+
+
+def test_nodes_spent_counts_search_within_budget():
+    # phase A of the distance-2 search used to run on a private budget
+    # that was never charged back, so searching pairs reported 0
+    rng = random.Random(8)
+    searched = 0
+    for _ in range(40):
+        t0, t1 = random_compatible_pair(8, 8, rng)
+        res = reduce_pair(t0, t1)
+        diag = res.diagnostics
+        assert 0 <= diag.nodes_spent <= 10_000
+        if not diag.strategy_cases:
+            assert diag.nodes_spent == 0
+            continue
+        searched += 1
+        assert res.success and diag.nodes_spent > 0
+        assert diag.fiber_cache_misses + diag.fiber_cap_hits > 0
+        for budget in (1, diag.nodes_spent):
+            capped = reduce_pair(t0, t1, node_budget=budget)
+            assert 0 < capped.diagnostics.nodes_spent <= budget
+    assert searched
 
 
 def test_sample_fiber_member_matches_profile():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kimura4 import groups
+from kimura4.reducer import random_flow
 from kimura4.tables import (CountingFunctional, Table, compatible, hamming,
                             hamming_distance, min_hamming_pair, monomial_eval,
                             pair_from_json, pair_to_json, profile_to_json)
@@ -75,6 +76,20 @@ def test_hamming_is_a_metric_exhaustive_n4():
     assert (np.diag(d) == 0).all()
     # triangle inequality over all triples
     assert (d[:, None, :] <= d[:, :, None] + d[None, :, :]).all()
+
+
+def test_hamming_distance_matches_column_loop_past_64_bits():
+    # a mask of fixed width drops the columns beyond it
+    def column_loop(r0, r1, n):
+        return sum(1 for i in range(n) if groups.entry(r0 ^ r1, i, n))
+
+    rng = random.Random(70)
+    for n in (5, 33, 70):
+        for _ in range(300):
+            r0, r1 = random_flow(n, rng), random_flow(n, rng)
+            assert hamming_distance(r0, r1, n) == column_loop(r0, r1, n)
+        top = 3 << (2 * n - 2)  # the first column only
+        assert hamming_distance(top, 0, n) == 1
 
 
 def test_hamming_metric_sampled_n5():
