@@ -91,8 +91,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "max_move_degree": max((s.move.degree for s in res.steps), default=0),
         "diagnostics": res.diagnostics.to_json(),
     }
-    if args.log_cases:
-        payload["cases"] = dict(res.diagnostics.strategy_cases)
     _emit(args, payload,
           f"{'reduced' if res.success else 'BUDGET EXHAUSTED'} in "
           f"{len(res.steps)} move(s)")
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--trace", help="write the move trace (JSON lines)")
     p.add_argument("--verify-trace", help="only replay this trace file")
-    p.add_argument("--log-cases", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reduce)
 

@@ -114,10 +114,6 @@ def act_flow(f: int, t: int) -> int:
     return f ^ t
 
 
-def apply_aut_flow(aut: Sequence[int], v: int, n: int) -> int:
-    return pack(aut[g] for g in unpack(v, n))
-
-
 # ---------------------------------------------------------------------------
 # face specs and flow enumeration
 # ---------------------------------------------------------------------------

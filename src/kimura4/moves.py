@@ -208,16 +208,19 @@ class FiberTooLarge(Exception):
     """Raised when a replacement fiber exceeds the requested cap."""
 
 
+FIBER_CACHE_ENTRIES = 1 << 18  # fibers a FiberCache stores at most
+
+
 class FiberCache:
     """Memo table from sub-multiset profile to its full replacement fiber.
 
     `hits` counts lookups answered from the table, `misses` fibers built
-    and stored, `cap_hits` builds that exceeded their cap (not stored).
+    and stored, `cap_hits` lookups whose fiber exceeded the request's cap
+    (built or stored; FiberTooLarge is raised either way).
     """
 
-    def __init__(self, max_entries: int = 1 << 18):
+    def __init__(self):
         self._data: dict = {}
-        self._max = max_entries
         self.hits = 0
         self.misses = 0
         self.cap_hits = 0
@@ -227,6 +230,9 @@ class FiberCache:
         key = profile_of_rows(rows, n)
         hit = self._data.get(key)
         if hit is not None:
+            if cap is not None and len(hit) > cap:
+                self.cap_hits += 1
+                raise FiberTooLarge(len(hit))
             self.hits += 1
             return hit
         try:
@@ -235,19 +241,20 @@ class FiberCache:
             self.cap_hits += 1
             raise
         self.misses += 1
-        if len(self._data) < self._max:
+        if len(self._data) < FIBER_CACHE_ENTRIES:
             self._data[key] = members
         return members
 
 
 def neighbors(t: Table, max_deg: int, cache: Optional[FiberCache] = None,
-              *, fiber_cap: Optional[int] = None,
-              min_deg: int = 2) -> Iterator[tuple[Move, Table]]:
+              *, fiber_cap: Optional[int] = None
+              ) -> Iterator[tuple[Move, Table]]:
     """All tables one legal move of degree <= max_deg away, each once.
 
     Sub-multisets are enumerated in canonical combination order and results
     deduplicated by the canonical table key.  Size-1 selections are skipped
-    outright (no non-trivial single-row replacement exists).
+    outright (no non-trivial single-row replacement exists).  Fibers over
+    `fiber_cap` members are skipped.
     """
     if max_deg < 2:
         raise ValueError("moves need degree >= 2")
@@ -255,7 +262,7 @@ def neighbors(t: Table, max_deg: int, cache: Optional[FiberCache] = None,
     seen: set[tuple[int, ...]] = set()
     rows = t.rows
     d = len(rows)
-    for s in range(max(2, min_deg), min(max_deg, d) + 1):
+    for s in range(2, min(max_deg, d) + 1):
         for idx in _distinct_index_combos(rows, s):
             sub = tuple(rows[i] for i in idx)
             try:

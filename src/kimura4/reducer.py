@@ -3,15 +3,16 @@
 reduce_pair transforms a compatible pair (T0, T1) into equal tables,
 recording every move.  The engine follows the induction leaves -> degree ->
 Hamming distance: common rows are factored out, small tables are exchanged
-in one move, pinned row pairs with large disagreement are pulled together
-(ge-4 strings inside their four columns, then the abc string, then the
-two-column case), and in the two-column case the bad pairs in two chosen
-agreement columns are eliminated so the pair merges into one with n-1
-columns and recurses.  Each named routine realizes its step with a scoped
-best-first search over legal moves; a routine that dead-ends falls through
-to an unscoped bounded search, and the failing case label is logged rather
-than trusted silently.  Every returned trace is replay-validated; an
-invalid trace is never returned.
+in one move, a quadratic pinch pulls the closest rows together, and
+otherwise the step depends on the minimal cross distance k.  At k >= 4 and
+k = 3 (the abc string) a lower-potential search runs until k drops; at
+k = 2 a search goes for a shared row, and failing that the bad pairs in two
+agreement columns are cleared so the pair merges into one with n-1 columns
+and recurses.  Every search is one best-first search over the legal moves
+of `moves.neighbors`; a strategy that dead-ends falls back to a bounded
+lower-potential search, and the failing case label is logged rather than
+trusted silently.  Every returned trace is replay-validated; an invalid
+trace is never returned.
 
 Reduction itself is deterministic; randomness only enters the fuzz-pair
 samplers, which draw everything from one seeded generator.
@@ -24,11 +25,11 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import groups
-from .moves import (FiberCache, FiberTooLarge, Move, TraceStep, apply_move,
-                    profile_fiber, trace_is_valid)
+from .moves import (FiberCache, Move, TraceStep, apply_move, neighbors,
+                    profile_fiber, replay_trace, trace_is_valid)
 from .tables import (Table, column_mask, compatible, hamming,
                      min_hamming_pair)
 
@@ -92,19 +93,6 @@ class BadPair:
     row: int
     x: int
     y: int
-
-
-@dataclass
-class PairState:
-    """A compatible pair plus the pinned minimal-Hamming row pair."""
-
-    t0: Table
-    t1: Table
-    pinned: Optional[tuple[int, int, int]] = None  # (row0, row1, k)
-
-    def pin(self) -> tuple[int, int, int]:
-        self.pinned = min_hamming_pair(self.t0, self.t1)
-        return self.pinned
 
 
 # ---------------------------------------------------------------------------
@@ -181,92 +169,11 @@ def _bad_count(rows: Sequence[int], n: int, p: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# neighbor generation for searches
+# search
 # ---------------------------------------------------------------------------
 
-FIBER_CAP = 512
-
-
-def _candidate_moves(rows: tuple[int, ...], n: int, max_degree: int,
-                     cache: FiberCache,
-                     cols: Optional[tuple[int, ...]] = None
-                     ) -> Iterator[Move]:
-    """Legal moves on a row multiset, optionally touching only `cols`.
-
-    With a column scope, replacements act on the projection to those
-    columns plus a virtual balancing column, so untouched columns are
-    preserved row by row.
-    """
-    d = len(rows)
-    seen_sub: set[tuple[int, ...]] = set()
-    for s in range(2, min(max_degree, d) + 1):
-        for idx in itertools.combinations(range(d), s):
-            sub = tuple(rows[i] for i in idx)
-            if sub in seen_sub:
-                continue
-            seen_sub.add(sub)
-            if cols is None:
-                try:
-                    fiber = cache.fiber_for(sub, n, cap=FIBER_CAP)
-                except FiberTooLarge:
-                    continue
-                for repl in fiber:
-                    if repl != sub:
-                        yield Move(sub, repl, n)
-            else:
-                yield from _scoped_replacements(sub, n, cols, cache)
-
-
-def _scoped_replacements(sub: tuple[int, ...], n: int,
-                         cols: tuple[int, ...],
-                         cache: FiberCache) -> Iterator[Move]:
-    """Moves exchanging entries of `sub` inside `cols` only.
-
-    Project each row to (entries in cols, balancing sum); replacement
-    mini-tables are the fiber of that projection; the balancing entry pins
-    which original row's untouched part each new projected row extends.
-    """
-    w = len(cols)
-    proj = []
-    for v in sub:
-        ent = [groups.entry(v, c, n) for c in cols]
-        s = 0
-        for g in ent:
-            s ^= g
-        proj.append(groups.pack(ent + [s]))
-    proj_t = tuple(sorted(proj))
-    try:
-        fiber = cache.fiber_for(proj_t, w + 1, cap=FIBER_CAP)
-    except FiberTooLarge:
-        return
-    # group original rows by balance value (projected last entry)
-    by_balance: dict[int, list[int]] = {}
-    for v, pv in zip(sub, proj):
-        by_balance.setdefault(pv & 3, []).append(v)
-    for repl in fiber:
-        if repl == proj_t:
-            continue
-        pools = {k: list(vs) for k, vs in by_balance.items()}
-        new_rows = []
-        ok = True
-        for pr in repl:
-            bal = pr & 3
-            pool = pools.get(bal)
-            if not pool:
-                ok = False
-                break
-            base = pool.pop()
-            nv = base
-            for j, c in enumerate(cols):
-                nv = groups.set_entry(nv, c, n,
-                                      groups.entry(pr, j, w + 1))
-            new_rows.append(nv)
-        if not ok:
-            continue
-        ins = tuple(sorted(new_rows))
-        if ins != tuple(sorted(sub)):
-            yield Move(tuple(sorted(sub)), ins, n)
-
+FIBER_CAP = 512  # replacement fibers larger than this are skipped
+BEAM = 64  # children of each expanded state kept on the frontier
 
 SearchState = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -276,15 +183,15 @@ def pair_search(a: Table, b: Table, *,
                 score: Callable[[SearchState], tuple],
                 budget: Budget,
                 max_degree: int = 4,
-                cols: Optional[tuple[int, ...]] = None,
-                beam: int = 64,
                 cache: Optional[FiberCache] = None
                 ) -> Optional[list[TraceStep]]:
     """Best-first search over pair states; returns the step path to the
     first goal state, or None when the frontier empties.
 
-    Raises BudgetExhausted when the shared budget runs out.  Moves of
-    degree <= max_degree apply to either side; `cols` scopes them.
+    Raises BudgetExhausted when the shared budget runs out.  A state's
+    children are the `moves.neighbors` of either side, moves of degree
+    <= max_degree over fibers of at most FIBER_CAP members; the best BEAM
+    of them join the frontier.
     """
     cache = cache or FiberCache()
     start: SearchState = (a.rows, b.rows)
@@ -302,12 +209,9 @@ def pair_search(a: Table, b: Table, *,
         ra, rb = state
         children = []
         for side, rows in ((0, ra), (1, rb)):
-            for mv in _candidate_moves(rows, n, max_degree, cache, cols):
-                keep = list(rows)
-                for v in mv.removed:
-                    keep.remove(v)
-                new_rows = tuple(sorted(keep + list(mv.inserted)))
-                child = (new_rows, rb) if side == 0 else (ra, new_rows)
+            for mv, nb in neighbors(Table(rows, n), max_degree, cache,
+                                    fiber_cap=FIBER_CAP):
+                child = (nb.rows, rb) if side == 0 else (ra, nb.rows)
                 if child in seen:
                     continue
                 seen.add(child)
@@ -317,7 +221,7 @@ def pair_search(a: Table, b: Table, *,
                     return _unwind(parents, start, child)
                 children.append((score(child), next(counter), child))
         children.sort(key=lambda t: t[0])
-        for item in children[:beam]:
+        for item in children[:BEAM]:
             heapq.heappush(frontier, item)
     return None
 
@@ -379,123 +283,59 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
     return None
 
 
-def reduce_hamming_ge4(state: PairState, budget: Budget,
+def _lower_potential(a: Table, b: Table, budget: Budget, cache: FiberCache,
+                     max_degree: int) -> Optional[list[TraceStep]]:
+    """Steps to a pair state of lower potential than (a, b), or None when
+    the search frontier empties."""
+    n = a.n
+    pot = pair_potential(a, b)
+    return pair_search(a, b, goal=lambda s: _potential_below(s, n, pot),
+                       score=lambda s: _score_potential(s, n),
+                       budget=budget, max_degree=max_degree, cache=cache)
+
+
+def reduce_hamming_ge4(t0: Table, t1: Table, budget: Budget,
                        cache: FiberCache,
                        max_degree: int = 4) -> list[TraceStep]:
-    """Shrink a pinned disagreement string of length >= 4 to length <= 3.
-
-    Only four disagreement columns at a time are exchanged (replacements
-    act on their projection), matching the four-column reduction this
-    implements; the loop re-pins until the minimal distance is <= 3.
-    """
-    r0, r1, k = state.pinned or state.pin()
-    if k < 4:
+    """Shrink a minimal disagreement string of length >= 4 to length <= 3,
+    lowering the potential one search at a time."""
+    n = t0.n
+    if pair_potential(t0, t1)[1] < 4:
         raise ValueError("reduce_hamming_ge4 needs disagreement >= 4")
-    n = state.t0.n
-    a, b = state.t0, state.t1
+    a, b = t0, t1
     steps: list[TraceStep] = []
     while True:
         ra, rb = strip_common(a.rows, b.rows)
-        if not ra:
-            break
-        r0, r1, k = min_hamming_pair(Table(ra, n), Table(rb, n))
+        k = min_cross_k(ra, rb, n)
         if k <= 3:
-            break
-        _, _, agree = hamming(r0, r1, n)
-        dis_cols = tuple(c for c in range(n) if c not in agree)[:4]
-        pot0 = (len(ra), k)
-        found = pair_search(
-            Table(ra, n), Table(rb, n),
-            goal=lambda s: _potential_below(s, n, pot0),
-            score=lambda s: _score_potential(s, n),
-            budget=budget, max_degree=max_degree, cols=dis_cols,
-            cache=cache)
+            return steps
+        found = _lower_potential(Table(ra, n), Table(rb, n), budget, cache,
+                                 max_degree)
         if found is None:
             raise StrategyGap(f"ge4:string-len-{k}")
-        for st in found:
-            if st.side == 0:
-                a = apply_move(a, st.move)
-            else:
-                b = apply_move(b, st.move)
+        a, b = replay_trace(a, b, found, max_degree)
         steps.extend(found)
-    return steps
 
 
-def reduce_hamming_3(state: PairState, budget: Budget,
+def reduce_hamming_3(t0: Table, t1: Table, budget: Budget,
                      cache: FiberCache,
                      max_degree: int = 4) -> list[TraceStep]:
-    """Reduce a pinned pair at distance 3 (string abc) to distance <= 2."""
-    r0, r1, k = state.pinned or state.pin()
-    if k != 3:
+    """Reduce a pair at minimal distance 3 (string abc) to distance <= 2."""
+    if pair_potential(t0, t1)[1] != 3:
         raise ValueError("reduce_hamming_3 needs distance exactly 3")
-    n = state.t0.n
-    d0, k0 = pair_potential(state.t0, state.t1)
-    steps = pair_search(
-        state.t0, state.t1,
-        goal=lambda s: _potential_below(s, n, (d0, k0)),
-        score=lambda s: _score_potential(s, n),
-        budget=budget, max_degree=max_degree, cache=cache)
+    steps = _lower_potential(t0, t1, budget, cache, max_degree)
     if steps is None:
         raise StrategyGap("abc")
     return steps
 
 
-_CASE_BY_YZW = {
-    (1, 2, 0): "I", (1, 2, 2): "II", (2, 2, 2): "III",
-    (1, 3, 0): "IV", (1, 3, 3): "V", (1, 0, 3): "VI", (1, 0, 2): "VII",
-    (2, 3, 3): "VIII", (2, 0, 0): "IX", (1, 0, 0): "X",
-}
-
-
-def classify_k2_case(t0: Table, t1: Table,
-                     pinned: tuple[int, int, int]) -> str:
-    """Best-effort case label (I..X) for a distance-2 pinned pair.
-
-    Normalizes by the flow and automorphism actions the way the case table
-    fixes x = beta; used for diagnostics only.
-    """
-    r0, r1, k = pinned
-    if k != 2:
-        return "k2:not-2"
-    n = t0.n
-    diff = r0 ^ r1
-    cols = [c for c in range(n) if groups.entry(diff, c, n)]
-    delta = groups.entry(diff, cols[0], n)
-    for aut in groups.AUTOMORPHISMS:
-        if aut[delta] != 1:
-            continue
-        a0 = [groups.apply_aut_flow(aut, v ^ r1, n) for v in t0.rows]
-        a1 = [groups.apply_aut_flow(aut, v ^ r1, n) for v in t1.rows]
-        c0, c1 = cols[0], cols[1]
-        xs = [groups.entry(v, c1, n) for v in a0
-              if groups.entry(v, c0, n) == 0 and groups.entry(v, c1, n)]
-        ys = [groups.entry(v, c0, n) for v in a0
-              if groups.entry(v, c1, n) == 0 and groups.entry(v, c0, n)]
-        zs = [groups.entry(v, c1, n) for v in a1
-              if groups.entry(v, c0, n) == 1]
-        ws = [groups.entry(v, c0, n) for v in a1
-              if groups.entry(v, c1, n) == 1 and groups.entry(v, c0, n) != 1]
-        if 2 not in xs:
-            continue
-        for y in ys or [0]:
-            for z in zs or [0]:
-                for w in ws or [0]:
-                    label = _CASE_BY_YZW.get((y, z, w))
-                    if label:
-                        return label
-    return "unclassified"
-
-
-def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
+def reduce_hamming_2(t0: Table, t1: Table, budget: Budget, cache: FiberCache,
                      diag: Diagnostics, max_degree: int,
                      depth: int) -> list[TraceStep]:
     """Distance-2 engine: reach a shared row, or clear the bad pairs in two
     agreement columns, merge them, and recurse on n-1 columns."""
-    r0, r1, k = state.pinned or state.pin()
-    n = state.t0.n
-    d0, k0 = pair_potential(state.t0, state.t1)
-    label = classify_k2_case(state.t0, state.t1, (r0, r1, k))
-    diag.strategy_cases[f"k2:{label}"] += 1
+    n = t0.n
+    d0, k0 = pair_potential(t0, t1)
 
     # phase A: go straight for a shared row, on at most 1500 of the
     # budget's nodes
@@ -503,7 +343,7 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
     allowed = phase_a.nodes
     try:
         steps = pair_search(
-            state.t0, state.t1,
+            t0, t1,
             goal=lambda s: len(strip_common(s[0], s[1])[0]) < d0,
             score=lambda s: _score_potential(s, n),
             budget=phase_a, max_degree=max_degree, cache=cache)
@@ -513,24 +353,22 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
         return steps
 
     if n < 4 or depth > n:
-        raise StrategyGap(f"k2:{label}:no-shared-row")
+        raise StrategyGap("k2:no-shared-row")
 
-    # phase B: clear bad pairs in two agreement columns of the pinned pair
+    # phase B: clear bad pairs in two agreement columns of a minimal pair
+    r0, r1, _ = min_hamming_pair(t0, t1)
     _, _, agree = hamming(r0, r1, n)
     if len(agree) < 2:
-        raise StrategyGap(f"k2:{label}:no-agreement-columns")
-    best_pq = min(itertools.combinations(agree, 2),
-                  key=lambda pq: _bad_count(state.t0.rows + state.t1.rows,
-                                            n, *pq))
-    p, q = best_pq
+        raise StrategyGap("k2:no-agreement-columns")
+    p, q = min(itertools.combinations(agree, 2),
+               key=lambda pq: _bad_count(t0.rows + t1.rows, n, *pq))
 
     def badness(s: SearchState) -> int:
         return _bad_count(s[0], n, p, q) + _bad_count(s[1], n, p, q)
 
-    bad0 = badness((state.t0.rows, state.t1.rows))
     steps = []
-    a, b = state.t0, state.t1
-    if bad0:
+    a, b = t0, t1
+    if badness((a.rows, b.rows)):
         found = pair_search(
             a, b,
             goal=lambda s: (badness(s) == 0
@@ -538,13 +376,9 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
             score=lambda s: (badness(s),) + _score_potential(s, n),
             budget=budget, max_degree=max_degree, cache=cache)
         if found is None:
-            raise StrategyGap(f"k2:{label}:bad-pairs-stuck")
+            raise StrategyGap("k2:bad-pairs-stuck")
         steps.extend(found)
-        for st in found:
-            if st.side == 0:
-                a = apply_move(a, st.move)
-            else:
-                b = apply_move(b, st.move)
+        a, b = replay_trace(a, b, found, max_degree)
         if _potential_below((a.rows, b.rows), n, (d0, k0)):
             return steps  # progress made outright; outer loop continues
 
@@ -552,9 +386,8 @@ def reduce_hamming_2(state: PairState, budget: Budget, cache: FiberCache,
     sub = reduce_pair(merged.t0, merged.t1, max_degree=max_degree,
                       _depth=depth + 1, _diag=diag, _budget=budget)
     if not sub.success:
-        raise StrategyGap(f"k2:{label}:merged-pair-unreduced")
-    lifted = merged.lift(sub.steps)
-    steps.extend(lifted)
+        raise StrategyGap("k2:merged-pair-unreduced")
+    steps.extend(merged.lift(sub.steps))
     return steps
 
 
@@ -782,29 +615,23 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
             if pinch is not None:
                 apply_steps([pinch])
                 continue
-            state = PairState(sa, sb)
-            r0, r1, k = state.pin()
-            pot0 = pair_potential(sa, sb)
+            k = min_cross_k(ra, rb, a.n)
             try:
                 if k >= 4:
                     diag.strategy_cases["ge4"] += 1
-                    new_steps = reduce_hamming_ge4(state, budget, cache,
+                    new_steps = reduce_hamming_ge4(sa, sb, budget, cache,
                                                    max_degree)
                 elif k == 3:
                     diag.strategy_cases["abc"] += 1
-                    new_steps = reduce_hamming_3(state, budget, cache,
+                    new_steps = reduce_hamming_3(sa, sb, budget, cache,
                                                  max_degree)
                 else:
-                    new_steps = reduce_hamming_2(state, budget, cache, diag,
+                    diag.strategy_cases["k2"] += 1
+                    new_steps = reduce_hamming_2(sa, sb, budget, cache, diag,
                                                  max_degree, _depth)
             except StrategyGap as gap:
                 diag.fallback_cases[gap.label] += 1
-                found = pair_search(
-                    sa, sb,
-                    goal=lambda s: _potential_below(s, sa.n, pot0),
-                    score=lambda s: _score_potential(s, sa.n),
-                    budget=budget, max_degree=max_degree, cache=cache,
-                    beam=128)
+                found = _lower_potential(sa, sb, budget, cache, max_degree)
                 if found is None:
                     raise BudgetExhausted(
                         f"strategy gap {gap.label} and fallback frontier "

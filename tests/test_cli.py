@@ -39,7 +39,7 @@ def test_reduce_roundtrip_with_trace(tmp_path, capsys):
     trace = tmp_path / "out.trace.jsonl"
     report = tmp_path / "reduce.json"
     rc = main(["reduce", "--input", str(pair), "--trace", str(trace),
-               "--log-cases", "--out", str(report)])
+               "--out", str(report)])
     assert rc == 0
     diag = json.loads(report.read_text())["diagnostics"]
     assert set(diag) >= {"nodes_spent", "fiber_cache_hits",

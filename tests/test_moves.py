@@ -105,6 +105,17 @@ def test_fiber_cache_counts_hits_misses_and_caps():
     assert (cache.hits, cache.misses, cache.cap_hits) == (1, 1, 1)
 
 
+def test_fiber_cache_applies_cap_to_stored_fibers():
+    # a fiber stored by an uncapped lookup must not answer a smaller cap
+    cache = FiberCache()
+    rows = tuple(sorted(groups.parse_flow(s) for s in ("aa00", "0bb0", "c00c")))
+    size = len(cache.fiber_for(rows, 4))
+    with pytest.raises(FiberTooLarge):
+        cache.fiber_for(rows, 4, cap=size - 1)
+    assert len(cache.fiber_for(rows, 4, cap=size)) == size
+    assert (cache.hits, cache.misses, cache.cap_hits) == (1, 1, 1)
+
+
 def test_profile_fiber_contains_itself_and_matches_profile():
     rows = tuple(sorted(groups.parse_flow(s) for s in ("aa00", "0bb0", "c00c")))
     fiber = profile_fiber(rows, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from kimura4 import groups
 from kimura4.moves import FiberCache, apply_move, replay_trace, trace_is_valid
-from kimura4.reducer import (Budget, PairState, find_bad_pairs, fuzz_reduce,
+from kimura4.reducer import (Budget, find_bad_pairs, fuzz_reduce,
                              merge_columns, min_cross_k, pair_potential,
                              random_compatible_pair, reduce_hamming_3,
                              reduce_hamming_ge4, reduce_pair,
@@ -117,7 +117,7 @@ def test_merge_lift_with_split_adjustment():
 
 def test_reduce_hamming_ge4_contract():
     # build compatible pairs whose minimal cross distance is >= 4, feed the
-    # four-column routine directly, and check the distance drops to <= 3
+    # routine directly, and check the distance drops to <= 3
     rng = random.Random(2024)
     exercised = 0
     while exercised < 5:
@@ -126,9 +126,7 @@ def test_reduce_hamming_ge4_contract():
         if not ra or min_cross_k(ra, rb, 6) < 4:
             continue
         sa, sb = Table(ra, 6), Table(rb, 6)
-        state = PairState(sa, sb)
-        state.pin()
-        steps = reduce_hamming_ge4(state, Budget(4000), FiberCache())
+        steps = reduce_hamming_ge4(sa, sb, Budget(4000), FiberCache())
         a, b = sa, sb
         for st in steps:
             if st.side == 0:
@@ -141,10 +139,8 @@ def test_reduce_hamming_ge4_contract():
 
 
 def test_reduce_hamming_ge4_rejects_small_k():
-    state = PairState(T0_EX, T1_EX)
-    state.pin()
     with pytest.raises(ValueError):
-        reduce_hamming_ge4(state, Budget(100), FiberCache())
+        reduce_hamming_ge4(T0_EX, T1_EX, Budget(100), FiberCache())
 
 
 def test_reduce_hamming_3_contract():
@@ -156,12 +152,11 @@ def test_reduce_hamming_3_contract():
         if not ra or min_cross_k(ra, rb, 6) != 3:
             continue
         sa, sb = Table(ra, 6), Table(rb, 6)
-        state = PairState(sa, sb)
-        r0, r1, k = state.pin()
+        r0, r1, k = min_hamming_pair(sa, sb)
         # any distance-3 disagreement string is exactly {a, b, c}
         from kimura4.tables import hamming
         assert hamming(r0, r1, 6)[1] == (1, 2, 3)
-        steps = reduce_hamming_3(state, Budget(4000), FiberCache())
+        steps = reduce_hamming_3(sa, sb, Budget(4000), FiberCache())
         a, b = sa, sb
         for st in steps:
             if st.side == 0:
@@ -174,10 +169,8 @@ def test_reduce_hamming_3_contract():
 
 
 def test_reduce_hamming_3_rejects_other_k():
-    state = PairState(T0_EX, T1_EX)
-    state.pin()
     with pytest.raises(ValueError):
-        reduce_hamming_3(state, Budget(100), FiberCache())
+        reduce_hamming_3(T0_EX, T1_EX, Budget(100), FiberCache())
 
 
 def test_monotone_progress_of_potential():
@@ -259,6 +252,27 @@ def test_nodes_spent_counts_search_within_budget():
             capped = reduce_pair(t0, t1, node_budget=budget)
             assert 0 < capped.diagnostics.nodes_spent <= budget
     assert searched
+
+
+def test_reduce_every_member_of_small_fibers():
+    # every member of every n=3 fiber of degree 6 and 7 (65688 pairs)
+    # reduces to its fiber's first member with a replay-valid trace and no
+    # fallback; about 1700 of the pairs need the distance-2 search
+    from kimura4.markov import fibers
+    pairs = searched = 0
+    for d in (6, 7):
+        for fib in fibers(3, d, include_singletons=False):
+            t0 = Table(fib.members[0], 3)
+            for rows in fib.members[1:]:
+                t1 = Table(rows, 3)
+                res = reduce_pair(t0, t1)
+                assert res.success, (t0, t1, res.message)
+                assert not res.diagnostics.fallback_cases, (t0, t1)
+                assert trace_is_valid(t0, t1, res.steps)
+                searched += res.diagnostics.strategy_cases["k2"]
+                pairs += 1
+    assert pairs == 65688
+    assert searched > 1000
 
 
 def test_sample_fiber_member_matches_profile():
