@@ -8,8 +8,10 @@ distinct flows have distinct profiles, so every real move has degree >= 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -133,6 +135,11 @@ def profile_fiber(rows: Sequence[int], n: int,
     and the last row is read off the remaining counts.  `cap` bounds the
     number of members returned (None = exhaustive); exceeding it raises
     FiberTooLarge so callers never mistake a truncation for the whole fiber.
+    For three or more rows a capped request first counts the ordered row
+    tuples of the profile (`ordered_flow_tuples`): a multiset has at most
+    s! orderings, so more than cap * s! tuples prove the fiber too large
+    without building it, and FiberTooLarge then carries that lower bound
+    rather than a member count.
     """
     s = len(rows)
     if s <= 2:
@@ -141,6 +148,11 @@ def profile_fiber(rows: Sequence[int], n: int,
             raise FiberTooLarge(len(out))
         return out
     prof = profile_of_rows(rows, n)
+    if cap is not None:
+        orderings = math.factorial(s)
+        tuples = ordered_flow_tuples(prof, n, s)
+        if tuples > cap * orderings:
+            raise FiberTooLarge(-(-tuples // orderings))
     width = s.bit_length() + 1  # a count up to s plus its guard bit
     rem = guard = off = 0
     cells = []  # per column: (symbol, its cell's unit) for present symbols
@@ -170,6 +182,51 @@ def profile_fiber(rows: Sequence[int], n: int,
     out: list[tuple[int, ...]] = []
     _grow(out, pool, rem, (), s, guard, row_of, cap)
     return out
+
+
+def ordered_flow_tuples(prof: tuple[int, ...], n: int, s: int) -> int:
+    """Ordered s-tuples of flows whose columns carry the profile `prof`.
+
+    A word is a flow when its symbols xor to 0, and the characters
+    chi_h(g) = (-1)^popcount(h & g) of Z2 x Z2 detect that:
+    [x = 0] = 1/4 sum_h chi_h(x).  So the count is 4^-s times the sum over
+    h in {0..3}^s of the product over columns of sum over the column's
+    arrangements g of prod_j chi_{h_j}(g_j).  That column factor is
+    symmetric in h, so the sum runs over sorted h with multinomial weights
+    (`_column_factors`).
+    """
+    weights, factors = _column_factors(s)
+    acc = weights
+    for i in range(0, 4 * n, 4):
+        acc = [a * f for a, f in zip(acc, factors[prof[i:i + 4]])]
+    return sum(acc) >> (2 * s)
+
+
+@functools.cache
+def _column_factors(s: int) -> tuple[list[int], dict[tuple[int, ...],
+                                                      list[int]]]:
+    """(weight of each sorted h, {column counts: factor for each h}).
+
+    The factor of a column is the coefficient of its counts in the product
+    over j of the linear forms sum_g chi_{h_j}(g) x_g.
+    """
+    classes = list(itertools.combinations_with_replacement(range(4), s))
+    weights = [math.factorial(s) // math.prod(
+        math.factorial(h.count(g)) for g in range(4)) for h in classes]
+    factors: dict[tuple[int, ...], list[int]] = {}
+    for h in classes:
+        poly = {(0, 0, 0, 0): 1}
+        for hj in h:
+            nxt: dict[tuple[int, ...], int] = {}
+            for counts, a in poly.items():
+                for g in range(4):
+                    key = counts[:g] + (counts[g] + 1,) + counts[g + 1:]
+                    sign = -1 if bin(hj & g).count("1") & 1 else 1
+                    nxt[key] = nxt.get(key, 0) + sign * a
+            poly = nxt
+        for counts, a in poly.items():
+            factors.setdefault(counts, []).append(a)
+    return weights, factors
 
 
 def _words(cols: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]]:
@@ -205,7 +262,11 @@ def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
 
 
 class FiberTooLarge(Exception):
-    """Raised when a replacement fiber exceeds the requested cap."""
+    """Raised when a replacement fiber exceeds the requested cap.
+
+    Its argument is a size the fiber has at least: a member count or
+    `profile_fiber`'s lower bound, either way above the cap.
+    """
 
 
 FIBER_CACHE_ENTRIES = 1 << 18  # fibers a FiberCache stores at most
@@ -216,7 +277,8 @@ class FiberCache:
 
     `hits` counts lookups answered from the table, `misses` fibers built
     and stored, `cap_hits` lookups whose fiber exceeded the request's cap
-    (built or stored; FiberTooLarge is raised either way).
+    (proved by `profile_fiber`'s count, built, or stored; FiberTooLarge is
+    raised each way and nothing is stored).
     """
 
     def __init__(self):

@@ -573,6 +573,8 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
     nested call (a merged pair) shares its caller's budget and diagnostics;
     the outermost call records the nodes spent.
     """
+    if max_degree < 2:
+        raise ValueError("moves need degree >= 2")
     if not compatible(t0, t1):
         raise ValueError("reduce_pair needs compatible tables")
     diag = _diag if _diag is not None else Diagnostics()

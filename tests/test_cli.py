@@ -60,6 +60,13 @@ def test_reduce_self_pair(tmp_path):
     assert main(["reduce", "--input", str(pair)]) == 0
 
 
+def test_reduce_rejects_degree_below_two(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(PAIR))
+    assert main(["reduce", "--input", str(pair), "--max-degree", "1"]) == 1
+    assert "error: moves need degree >= 2" in capsys.readouterr().err
+
+
 def test_reduce_verify_rejects_wrong_trace(tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps(PAIR))

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from kimura4 import corpus, groups
+from kimura4 import corpus, groups, moves
 from kimura4.moves import (FiberCache, FiberTooLarge, Move, TraceStep,
-                           apply_move, neighbors, profile_fiber, replay_trace,
-                           trace_is_valid)
+                           apply_move, neighbors, ordered_flow_tuples,
+                           profile_fiber, replay_trace, trace_is_valid)
 from kimura4.tables import Table, compatible, profile_of_rows
 
 T0_EX = Table.from_strings(["aa00", "0bb0", "c00c"])
@@ -93,6 +95,51 @@ def test_profile_fiber_cap_boundary():
             with pytest.raises(FiberTooLarge):
                 profile_fiber(rows, n, cap=len(fiber) - 1)
             checked += 1
+
+
+def _packed_profiles(n):
+    """Each flow's profile as one int, 4 bits per (column, symbol) cell, so
+    the packed profile of a multiset of at most 15 rows is their sum."""
+    return [sum(1 << 4 * (4 * i + ((v >> 2 * (n - 1 - i)) & 3))
+                for i in range(n)) for v in groups.enumerate_flows(n)]
+
+
+def _unpack(key, n):
+    return tuple((key >> 4 * c) & 15 for c in range(4 * n))
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (3, 4), (4, 3)])
+def test_ordered_flow_tuples_matches_brute_force(n, s):
+    ordered = Counter(map(sum, itertools.product(_packed_profiles(n),
+                                                 repeat=s)))
+    for key, count in ordered.items():
+        assert ordered_flow_tuples(_unpack(key, n), n, s) == count
+
+
+@pytest.mark.parametrize("n,s", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)])
+def test_fiber_lower_bound_never_exceeds_fiber_size(n, s):
+    sizes = Counter(map(sum, itertools.combinations_with_replacement(
+        _packed_profiles(n), s)))
+    # the bound is a product over columns, so columns in any order agree
+    bound = {}
+    for key, size in sizes.items():
+        cols = tuple(sorted((key >> 16 * i) & 0xFFFF for i in range(n)))
+        if cols not in bound:
+            tuples = ordered_flow_tuples(_unpack(key, n), n, s)
+            bound[cols] = -(-tuples // math.factorial(s))
+        assert bound[cols] <= size
+
+
+def test_capped_fiber_is_refused_without_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a provably capped fiber was built")
+
+    monkeypatch.setattr(moves, "_grow", no_build)
+    rows = tuple(sorted(groups.parse_flow(w) for w in (
+        "000ca0bcc", "aacca0cb0", "bbca0cbab", "cbcaabc0c")))
+    with pytest.raises(FiberTooLarge) as exc:
+        profile_fiber(rows, 9, cap=512)
+    assert exc.value.args[0] > 512
 
 
 def test_fiber_cache_counts_hits_misses_and_caps():

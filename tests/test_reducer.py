@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -291,3 +293,34 @@ def test_fuzz_reduce_batch():
     assert rep.reduced == 100
     assert rep.replay_valid == 100
     assert not rep.failures
+
+
+# SHA-256 of the traces of _pinned_pairs, computed when capped fibers were
+# still built before being refused; any change to the moves the reducer
+# picks, its search order or the fibers it may use changes it.
+PINNED_TRACE_DIGEST = (
+    "b3d44cc09a356952928aeb11ed4b2482dbfd8fae90ffe65a67068a78487dc895")
+
+
+def _pinned_pairs():
+    rng = random.Random(2024)
+    for n in (7, 8, 9):
+        for _ in range(14 if n < 9 else 12):
+            yield random_compatible_pair(n, rng.randint(5, 9), rng)
+
+
+def _pinned_trace_digest():
+    digest = hashlib.sha256()
+    cap_hits = 0
+    for t0, t1 in _pinned_pairs():
+        res = reduce_pair(t0, t1)
+        assert res.success
+        cap_hits += res.diagnostics.fiber_cap_hits
+        digest.update(json.dumps([s.to_json() for s in res.steps]).encode())
+    return digest.hexdigest(), cap_hits
+
+
+def test_traces_match_pinned_digest():
+    digest, cap_hits = _pinned_trace_digest()
+    assert cap_hits > 0  # the pairs meet capped fibers
+    assert digest == PINNED_TRACE_DIGEST
