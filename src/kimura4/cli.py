@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import os
 import sys
 import time
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 from . import __version__, corpus, groups, hilbert, markov, reducer
 from .groups import FaceSpec
 from .moves import read_trace, replay_trace, write_trace
-from .tables import Table, pair_from_json
+from .tables import pair_from_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -104,7 +103,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         args.leaves, args.max_degree, face,
         member_budget=args.member_budget,
         shards=args.shards,
-        cache_dir=os.environ.get("KIMURA_CACHE_DIR"),
         progress=lambda msg: print(f"  {msg}", file=sys.stderr))
     payload = report.to_json()
     payload["elapsed_s"] = round(time.time() - t0, 3)
@@ -120,7 +118,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
         res = markov.connectivity_check(
             args.leaves, args.max_table_degree, args.move_degree, face,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except markov.ProfileKeyTooWide as exc:
+    except groups.ProfileKeyTooWide as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     _emit(args, res.to_json(),
@@ -135,7 +133,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     try:
         rec = hilbert.build_record(args.leaves, face, args.max_dilation,
                                    max_layer=args.max_layer)
-    except hilbert.DilationBudgetExceeded as exc:
+    except (hilbert.DilationBudgetExceeded, groups.ProfileKeyTooWide) as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = rec.to_json()
@@ -182,10 +180,9 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
-def _fuzz_chunk(job: tuple) -> dict:
+def _fuzz_chunk(job: tuple) -> reducer.FuzzReport:
     n, max_d, count, seed, budget = job
-    rep = reducer.fuzz_reduce(n, max_d, count, seed, node_budget=budget)
-    return rep.to_json()
+    return reducer.fuzz_reduce(n, max_d, count, seed, node_budget=budget)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -202,27 +199,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             parts = pool.map(_fuzz_chunk, jobs)
     else:
         parts = [_fuzz_chunk(jobs[0])]
-    total = sum(p["total"] for p in parts)
-    reduced = sum(p["reduced"] for p in parts)
-    valid = sum(p["replay_valid"] for p in parts)
-    fallbacks: dict[str, int] = {}
-    search: dict[str, int] = {}
-    failures = []
-    for p in parts:
-        for k, v in p["fallback_cases"].items():
-            fallbacks[k] = fallbacks.get(k, 0) + v
-        for k, v in p["search"].items():
-            search[k] = search.get(k, 0) + v
-        failures.extend(p["failures"])
-    payload = {
-        "total": total, "reduced": reduced, "replay_valid": valid,
-        "fallback_cases": fallbacks, "search": search, "failures": failures,
-        "elapsed_s": round(time.time() - t0, 3),
-    }
+    rep = reducer.FuzzReport.merged(parts)
+    payload = rep.to_json()
+    payload["elapsed_s"] = round(time.time() - t0, 3)
     _emit(args, payload,
-          f"fuzz: {reduced}/{total} reduced, {valid} replay-valid, "
-          f"{sum(fallbacks.values())} fallback(s)")
-    return EXIT_OK if reduced == total and valid == total else EXIT_BUDGET
+          f"fuzz: {rep.reduced}/{rep.total} reduced, {rep.replay_valid} "
+          f"replay-valid, {sum(rep.fallbacks.values())} fallback(s)")
+    ok = rep.reduced == rep.total and rep.replay_valid == rep.total
+    return EXIT_OK if ok else EXIT_BUDGET
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -109,13 +109,7 @@ def _constraint_holds(text: str, asg: dict[str, int]) -> bool:
 
 
 def _normalize_rows(rows: Sequence) -> list[list[str]]:
-    out = []
-    for row in rows:
-        if isinstance(row, str):
-            out.append(list(row))
-        else:
-            out.append(list(row))
-    return out
+    return [list(row) for row in rows]
 
 
 def load_corpus() -> list[CorpusEntry]:

@@ -41,10 +41,7 @@ AUTOMORPHISMS: tuple[tuple[int, int, int, int], ...] = tuple(
     (0,) + p for p in itertools.permutations((ALPHA, BETA, GAMMA))
 )
 
-IDENTITY_AUT = (0, 1, 2, 3)
 SWAP_BC = (0, 1, 3, 2)  # beta <-> gamma
-SWAP_AC = (0, 3, 2, 1)  # alpha <-> gamma
-SWAP_AB = (0, 2, 1, 3)  # alpha <-> beta
 
 
 def apply_aut(aut: Sequence[int], g: int) -> int:
@@ -160,9 +157,6 @@ class FaceSpec:
     def __hash__(self) -> int:
         return hash(self.forbidden)
 
-    def admits(self, v: int, n: int) -> bool:
-        return all(entry(v, col, n) != g for col, g in self.forbidden)
-
     def allowed_symbols(self, n: int) -> list[tuple[int, ...]]:
         """Per-column tuple of admitted symbols."""
         out = []
@@ -171,8 +165,6 @@ class FaceSpec:
             out.append(tuple(g for g in ELEMENTS if g not in banned))
         return out
 
-
-EMPTY_FACE = FaceSpec()
 
 # Faces of the n=6 polytope used throughout: P1/P2/P3 (codimension three)
 # and the two codimension-two faces.
@@ -198,13 +190,7 @@ def enumerate_flows(n: int, face: Optional[FaceSpec] = None) -> list[int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if face is None or not face.forbidden:
-        out = []
-        for prefix in range(4 ** (n - 1)):
-            v = (prefix << 2) | word_sum(prefix, n - 1)
-            out.append(v)
-        return out
-    allowed = face.allowed_symbols(n)
+    allowed = (face or FaceSpec()).allowed_symbols(n)
     out = []
 
     def rec(col: int, acc: int, s: int) -> None:
@@ -228,3 +214,28 @@ def column_symbols(flows: np.ndarray, n: int) -> np.ndarray:
     """(V, n) uint8 array of symbol codes per column."""
     shifts = np.array([2 * (n - 1 - i) for i in range(n)], dtype=np.int64)
     return ((flows[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# profile keys
+# ---------------------------------------------------------------------------
+
+class ProfileKeyTooWide(ValueError):
+    """A degree's packed profile key does not fit 62 bits."""
+
+
+def profile_keys(flows: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Per-flow additive int64 key of profiles of degree <= d.
+
+    A profile is keyed by, per column, the counts of a, b, c in base d+1;
+    counts are sums over rows, so the key of a multiset of at most d rows is
+    the sum of its rows' keys, and equal keys mean equal profiles.
+    """
+    base = d + 1
+    bits = (d * base * base).bit_length()
+    if n * bits > 62:
+        raise ProfileKeyTooWide(
+            f"degree {d}: profile key needs {n * bits} bits, more than 62")
+    col_weight = np.array([0, 1, base, base * base], dtype=np.int64)
+    shifts = np.arange(n, dtype=np.int64) * bits
+    return (col_weight[column_symbols(flows, n)] << shifts[None, :]).sum(axis=1)

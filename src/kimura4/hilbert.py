@@ -27,8 +27,7 @@ from .groups import FaceSpec
 
 
 class DilationBudgetExceeded(Exception):
-    """A dilation is past the sumset's limits: the layer outgrew max_layer
-    keys, or its profile key does not fit 63 bits."""
+    """A dilation's layer outgrew max_layer profile keys."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +37,6 @@ class DilationBudgetExceeded(Exception):
 # Candidates (layer key + vertex key) merged and deduplicated at a time; this
 # bounds the sumset's working set beyond the layers themselves.
 SUMSET_BUCKET = 2_000_000
-
-
-def _vertex_keys(n: int, face: Optional[FaceSpec], bits: int) -> np.ndarray:
-    """psi images as packed count vectors: per column, counts of a, b, c
-    in `bits`-bit fields (the count of 0 is implied by the dilation)."""
-    syms = groups.column_symbols(groups.flows_array(n, face), n).astype(np.int64)
-    shifts = bits * (3 * np.arange(n) + np.maximum(syms - 1, 0))
-    return ((syms > 0).astype(np.int64) << shifts).sum(axis=1)
 
 
 def _next_layer(layer: np.ndarray, deltas: np.ndarray, k: int,
@@ -79,20 +70,16 @@ def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
     """H(0..kmax): number of distinct degree-k table profiles.
 
     Valid as the Ehrhart/Hilbert function because the polytope is normal.
-    Raises DilationBudgetExceeded as soon as a layer passes max_layer keys or
-    if the key needs over 63 bits.  Appends per-dilation seconds to layer_s.
+    Raises groups.ProfileKeyTooWide before the first layer if a degree-kmax
+    profile key needs over 62 bits, and DilationBudgetExceeded as soon as a
+    layer passes max_layer keys.  Appends per-dilation seconds to layer_s.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     values = [1]
     if kmax == 0:
         return values
-    bits = max(2, (kmax).bit_length())
-    if 3 * n * bits > 63:
-        raise DilationBudgetExceeded(
-            f"profile key needs {3 * n * bits} bits, more than 63; "
-            "reduce the dilation or n")
-    deltas = _vertex_keys(n, face, bits)
+    deltas = groups.profile_keys(groups.flows_array(n, face), n, kmax)
     layer = np.array([0], dtype=np.int64)
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
@@ -212,8 +199,7 @@ class HilbertRecord:
 
 
 def build_record(n: int, face: Optional[FaceSpec], kmax: int,
-                 *, fit: bool = True,
-                 max_layer: int = 30_000_000) -> HilbertRecord:
+                 *, max_layer: int = 30_000_000) -> HilbertRecord:
     dim = polytope_dimension(n, face)
     layer_s: list[float] = []
     values = hilbert_values(n, face, kmax, max_layer=max_layer, layer_s=layer_s)
@@ -222,7 +208,7 @@ def build_record(n: int, face: Optional[FaceSpec], kmax: int,
         rec.h_coeffs = h_numerator(values, dim)
     except ValueError:
         rec.h_coeffs = []
-    if fit and kmax >= dim:
+    if kmax >= dim:
         poly = fit_ehrhart(values, dim)
         rec.ehrhart = [str(c) for c in poly]
     return rec

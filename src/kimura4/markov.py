@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import groups
-from .groups import FaceSpec
+from .groups import FaceSpec, ProfileKeyTooWide
 from .tables import Table, profile_of_rows
 
 
@@ -143,30 +143,11 @@ BUCKET_INCIDENCES = 500_000
 
 _KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
+# Multisets keyed and bucketed at a time.
+KEYED_CHUNK = 2_000_000
 
-class ProfileKeyTooWide(ValueError):
-    """A degree's packed profile key does not fit 62 bits."""
-
-
-def _row_key_contributions(n: int, d: int,
-                           face: Optional[FaceSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """(flows, per-flow additive profile-key contribution).
-
-    A degree-d profile is keyed by, per column, the counts of a, b, c in
-    base d+1; counts are sums over rows, so the key of a multiset is the
-    sum of its rows' contributions.
-    """
-    flows = groups.flows_array(n, face)
-    syms = groups.column_symbols(flows, n)
-    base = d + 1
-    col_weight = np.array([0, 1, base, base * base], dtype=np.int64)
-    bits = int(math.ceil(math.log2(d * base * base + 1)))
-    if n * bits > 62:
-        raise ProfileKeyTooWide(
-            f"degree {d}: profile key needs {n * bits} bits, more than 62")
-    shifts = (np.arange(n, dtype=np.int64) * bits)
-    key1 = (col_weight[syms] << shifts[None, :]).sum(axis=1)
-    return flows, key1
+# Flood rounds before the label flood is declared stuck.
+FLOOD_MAX_ITER = 200
 
 
 def multiset_index_array(v: int, d: int) -> np.ndarray:
@@ -177,8 +158,7 @@ def multiset_index_array(v: int, d: int) -> np.ndarray:
                        count=math.comb(v + d - 1, d) * d).reshape(-1, d)
 
 
-def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray,
-                       chunk: int = 2_000_000
+def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream (profile keys, row index arrays) over all degree-d multisets.
 
@@ -197,7 +177,7 @@ def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray,
         rows[:, d - 2:] = pairs[lo:]
         buf.append((pair_keys[lo:] + sum(int(key1[i]) for i in prefix), rows))
         size += len(rows)
-        if size >= chunk:
+        if size >= KEYED_CHUNK:
             yield tuple(np.concatenate(col) for col in zip(*buf))
             buf, size = [], 0
     if buf:
@@ -261,7 +241,7 @@ def _n_buckets(v: int, d: int, t: int) -> int:
 
 
 def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
-                     n_nodes: int, max_iter: int = 200) -> np.ndarray:
+                     n_nodes: int) -> np.ndarray:
     """Union members that share a hashed node, by min-label flooding.
 
     `incidences` holds, per slot, the node id each member touches.  After
@@ -269,7 +249,7 @@ def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
     the member-node bipartite graph.
     """
     node_lab = np.empty(n_nodes, dtype=labels.dtype)
-    for _ in range(max_iter):
+    for _ in range(FLOOD_MAX_ITER):
         node_lab.fill(np.iinfo(labels.dtype).max)
         for inc in incidences:
             np.minimum.at(node_lab, inc, labels)
@@ -362,13 +342,14 @@ def _census_degree(n: int, d: int, face: Optional[FaceSpec],
                    progress: Optional[Callable[[str], None]]
                    ) -> DegreeCensus:
     t0 = time.time()
-    v = len(groups.enumerate_flows(n, face))
+    flows = groups.flows_array(n, face)
+    v = len(flows)
     m_total = math.comb(v + d - 1, d)
     if m_total > member_budget and shards <= 0:
         raise MemoryError(
             f"degree {d}: {m_total} multisets exceed budget {member_budget}; "
             f"rerun with shards")
-    _, key1 = _row_key_contributions(n, d, face)
+    key1 = groups.profile_keys(flows, n, d)
 
     def count(buckets) -> DegreeCensus:
         # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
@@ -452,7 +433,8 @@ def _connectivity_degree(n: int, d: int, move_degree: int,
                          face: Optional[FaceSpec]
                          ) -> Optional[tuple[list[str], list[str]]]:
     """None if every degree-d fiber is connected, else a witness pair."""
-    flows, key1 = _row_key_contributions(n, d, face)
+    flows = groups.flows_array(n, face)
+    key1 = groups.profile_keys(flows, n, d)
     v = len(flows)
     t = d - move_degree
     for keys, rows in _buckets(v, d, key1, _n_buckets(v, d, t)):

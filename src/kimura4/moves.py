@@ -58,27 +58,6 @@ class Move:
     def reversed(self) -> "Move":
         return Move(self.inserted, self.removed, self.n)
 
-    def columns_touched(self) -> tuple[int, ...]:
-        """Columns that change under the best row pairing.
-
-        Moves are row multiset exchanges, so "touched" is defined relative to
-        the pairing of removed with inserted rows minimizing the number of
-        differing columns (brute force; move degrees here are tiny).
-        """
-        s = self.degree
-        best: Optional[set[int]] = None
-        for perm in itertools.permutations(range(s)):
-            cols: set[int] = set()
-            for i, j in enumerate(perm):
-                diff = self.removed[i] ^ self.inserted[j]
-                for c in range(self.n):
-                    if (diff >> (2 * (self.n - 1 - c))) & 3:
-                        cols.add(c)
-            if best is None or len(cols) < len(best):
-                best = cols
-        assert best is not None
-        return tuple(sorted(best))
-
     def to_json(self) -> dict:
         return {
             "remove": [groups.format_flow(v, self.n) for v in self.removed],

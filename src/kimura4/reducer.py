@@ -666,8 +666,11 @@ class _SampleCap(Exception):
     pass
 
 
-def sample_fiber_member(t: Table, rng: random.Random,
-                        max_nodes: int = 200_000) -> Table:
+# Backtracking nodes per sampling attempt before it restarts.
+SAMPLE_NODES = 200_000
+
+
+def sample_fiber_member(t: Table, rng: random.Random) -> Table:
     """A random table with the profile of t, via randomized backtracking."""
     n, d = t.n, t.degree
 
@@ -682,7 +685,7 @@ def sample_fiber_member(t: Table, rng: random.Random,
             def build(col: int, acc: int, s: int) -> Optional[list[int]]:
                 nonlocal nodes
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > SAMPLE_NODES:
                     raise _SampleCap
                 if col == n - 1:
                     if counts[col][s] > 0:
@@ -747,40 +750,41 @@ class FuzzReport:
             "failures": self.failures,
         }
 
+    @classmethod
+    def merged(cls, reports: Sequence["FuzzReport"]) -> "FuzzReport":
+        """One report summing the counts of reports over disjoint pairs."""
+        out = cls(0, 0, 0, Counter(), 0, [], Counter())
+        for r in reports:
+            out.total += r.total
+            out.reduced += r.reduced
+            out.replay_valid += r.replay_valid
+            out.fallbacks.update(r.fallbacks)
+            out.max_trace_len = max(out.max_trace_len, r.max_trace_len)
+            out.failures.extend(r.failures)
+            out.search.update(r.search)
+        return out
+
 
 def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
-                *, max_degree: int = 4, node_budget: int = 10_000,
-                progress: Optional[Callable[[str], None]] = None
-                ) -> FuzzReport:
-    """Reduce `count` seeded random compatible pairs; every output trace is
-    replayed independently."""
+                *, node_budget: int = 10_000) -> FuzzReport:
+    """Reduce `count` seeded random compatible pairs with moves of degree
+    <= 4; every output trace is replayed independently."""
     rng = random.Random(seed)
-    fallbacks: Counter = Counter()
-    search: Counter = Counter()
-    reduced = valid = 0
-    max_len = 0
-    failures = []
+    rep = FuzzReport(count, 0, 0, Counter(), 0, [], Counter())
     for i in range(count):
         d = rng.randint(2, max_d)
         t0, t1 = random_compatible_pair(n, d, rng)
-        res = reduce_pair(t0, t1, max_degree=max_degree,
-                          node_budget=node_budget)
-        fallbacks.update(res.diagnostics.fallback_cases)
-        search.update(res.diagnostics.search_counts())
+        res = reduce_pair(t0, t1, node_budget=node_budget)
+        rep.fallbacks.update(res.diagnostics.fallback_cases)
+        rep.search.update(res.diagnostics.search_counts())
+        reason = res.message
         if res.success:
-            reduced += 1
-            if trace_is_valid(t0, t1, res.steps, max_degree):
-                valid += 1
-                max_len = max(max_len, len(res.steps))
-            else:
-                failures.append({"pair": i, "reason": "replay failed",
-                                 "t0": t0.row_strings(),
-                                 "t1": t1.row_strings()})
-        else:
-            failures.append({"pair": i, "reason": res.message,
-                             "t0": t0.row_strings(),
-                             "t1": t1.row_strings()})
-        if progress and (i + 1) % 100 == 0:
-            progress(f"{i + 1}/{count} pairs, {reduced} reduced")
-    return FuzzReport(count, reduced, valid, fallbacks, max_len, failures,
-                      search)
+            rep.reduced += 1
+            if trace_is_valid(t0, t1, res.steps, 4):
+                rep.replay_valid += 1
+                rep.max_trace_len = max(rep.max_trace_len, len(res.steps))
+                continue
+            reason = "replay failed"
+        rep.failures.append({"pair": i, "reason": reason,
+                             "t0": t0.row_strings(), "t1": t1.row_strings()})
+    return rep

@@ -135,9 +135,9 @@ def test_hilbert_cli(tmp_path):
 
 
 def test_hilbert_cli_key_width_exit_code(capsys):
-    # 3 * 6 columns of 4-bit counts need 72 bits
-    assert main(["hilbert", "--leaves", "6", "--max-dilation", "8"]) == 2
-    assert "72 bits" in capsys.readouterr().out
+    # 6 columns of 11-bit mixed-radix counts need 66 bits
+    assert main(["hilbert", "--leaves", "6", "--max-dilation", "10"]) == 2
+    assert "66 bits" in capsys.readouterr().out
 
 
 def test_hilbert_cli_layer_budget_exit_code(capsys):

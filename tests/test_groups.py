@@ -85,6 +85,12 @@ def test_enumerate_flows_counts():
             assert groups.is_flow(v, n)
 
 
+def test_enumerate_flows_is_free_prefix_and_forced_last():
+    for n in range(1, 7):
+        assert enumerate_flows(n) == [(p << 2) | groups.word_sum(p, n - 1)
+                                      for p in range(4 ** (n - 1))]
+
+
 def test_enumerate_flows_lexicographic_and_complete():
     flows = enumerate_flows(3)
     strings = [format_flow(v, 3) for v in flows]

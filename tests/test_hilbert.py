@@ -144,15 +144,28 @@ def test_dilation_budget_boundary_mid_layer(monkeypatch):
     assert done < total == 58
 
 
+def test_profile_key_width_boundary():
+    # n=6 keys take 6 fields of 10 bits at dilation 9 and of 11 bits at 10
+    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 1:"):
+        hilbert_values(6, None, 9, max_layer=1000)
+    layer_s = []
+    with pytest.raises(groups.ProfileKeyTooWide, match="66 bits"):
+        hilbert_values(6, None, 10, layer_s=layer_s)
+    assert layer_s == []
+
+
 @pytest.mark.parametrize("n, face, kmax", [(3, None, 7),
                                            (6, groups.FACE_P1, 2)])
 def test_sumset_buckets_match_unique(monkeypatch, n, face, kmax):
     # buckets of 500 candidates: over a hundred in the last layer, and many
     # get an empty slice of layer + delta for some deltas
     monkeypatch.setattr(hilbert, "SUMSET_BUCKET", 500)
-    bits = max(2, kmax.bit_length())
-    deltas = hilbert._vertex_keys(n, face, bits)
-    expect = [sum(1 << (bits * (3 * i + g - 1))
+    deltas = groups.profile_keys(groups.flows_array(n, face), n, kmax)
+    # per column, counts of a, b, c in base kmax+1, in a field that holds
+    # kmax rows of c
+    base = kmax + 1
+    bits = (kmax * base ** 2).bit_length()
+    expect = [sum(base ** (g - 1) << (bits * i)
                   for i in range(n) if (g := groups.entry(v, i, n)))
               for v in groups.enumerate_flows(n, face)]
     assert deltas.tolist() == expect

@@ -39,11 +39,6 @@ def test_move_reversibility():
     assert apply_move(apply_move(T0_EX, EXMOVE), back) == T0_EX
 
 
-def test_columns_touched():
-    # the intro exchange lives in columns 1 and 2
-    assert EXMOVE.columns_touched() == (0, 1)
-
-
 def test_pair_replacement_fiber_complete():
     # brute force cross-check of the degree-2 fiber on random pairs
     rng = random.Random(3)

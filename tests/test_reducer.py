@@ -7,7 +7,7 @@ import pytest
 
 from kimura4 import groups
 from kimura4.moves import FiberCache, apply_move, replay_trace, trace_is_valid
-from kimura4.reducer import (Budget, find_bad_pairs, fuzz_reduce,
+from kimura4.reducer import (Budget, FuzzReport, find_bad_pairs, fuzz_reduce,
                              merge_columns, min_cross_k, pair_potential,
                              random_compatible_pair, reduce_hamming_3,
                              reduce_hamming_ge4, reduce_pair,
@@ -293,6 +293,19 @@ def test_fuzz_reduce_batch():
     assert rep.reduced == 100
     assert rep.replay_valid == 100
     assert not rep.failures
+
+
+def test_fuzz_reports_merge():
+    a = fuzz_reduce(8, 9, 6, seed=1)
+    b = fuzz_reduce(8, 9, 6, seed=5, node_budget=1)  # one pair runs out
+    assert b.failures and b.search["fiber_cap_hits"]
+    m = FuzzReport.merged([a, b])
+    assert (m.total, m.reduced, m.replay_valid) == (
+        12, a.reduced + b.reduced, a.replay_valid + b.replay_valid)
+    assert m.max_trace_len == max(a.max_trace_len, b.max_trace_len)
+    assert m.failures == a.failures + b.failures
+    assert m.to_json()["search"] == {k: a.search[k] + b.search[k]
+                                     for k in a.search}
 
 
 # SHA-256 of the traces of _pinned_pairs, computed when capped fibers were
