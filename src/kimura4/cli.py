@@ -239,9 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--face")
     p.add_argument("--shards", type=int, default=0,
-                   help="spill shards for large degrees (0 = in-memory only)")
+                   help="spill shards for degrees past the member budget "
+                        "(0 = stop there)")
     p.add_argument("--member-budget", type=int, default=60_000_000,
-                   help="largest multiset count handled in memory")
+                   help="largest multiset count of a degree counted by "
+                        "the orbit route")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 

@@ -8,13 +8,27 @@ sub-multiset (degree <= d-1) minus one.
 
 Two tables of a fiber are one such move apart iff they share at least one
 row, and one move of degree <= m apart iff they share t = d-m rows, so the
-big censuses (t = 1) and connectivity checks (t = d - move degree) never
-enumerate moves.  A stream of keyed multisets is split by a hash of the
-profile key into buckets, in memory or in shard files on disk, so every
-fiber lies in one bucket; one kernel numbers each bucket's fibers and
-unions members through hashed shared sub-multisets with a vectorized
-min-label flood.  A small dict-based reference route cross-checks the
-vectorized engine at toy scale.
+censuses (t = 1) and connectivity checks (t = d - move degree) never
+enumerate moves.
+
+Translation by a flow, an automorphism of Z2 x Z2 on every entry and a
+permutation of the leaves map fibers to fibers and keep row sharing, so
+fibers in one symmetry orbit have the same size and component count
+(orbit representatives as in Aoki & Takemura, AISM 2008; connectivity of
+every fiber as the Markov-basis criterion of Diaconis & Sturmfels, Ann.
+Statist. 1998).  The orbit route builds one witness per orbit of the face's
+stabilizer, degree by degree, enumerates that one fiber with
+`moves.profile_fiber` and weights its components by the orbit size.  Every
+run checks that orbit size times fiber size sums to all C(V+d-1, d)
+multisets.  Connectivity and every census degree of at most `member_budget`
+multisets take this route.
+
+Past the budget, a census degree goes through the sharded spill kernel when
+shards are asked for: a stream of keyed multisets is split by a hash of the
+profile key into shard files on disk, so every fiber lies in one shard; the
+kernel numbers each shard's fibers and unions members through hashed shared
+sub-multisets with a vectorized min-label flood.  A small dict-based
+reference route cross-checks both at toy scale.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import groups
+from . import groups, moves
 from .groups import FaceSpec, ProfileKeyTooWide
 from .tables import Table, profile_of_rows
 
@@ -133,13 +147,220 @@ def census_reference(n: int, max_degree: int,
 
 
 # ---------------------------------------------------------------------------
-# vectorized engine
+# orbit route: one fiber per symmetry orbit
 # ---------------------------------------------------------------------------
 
-# Node incidences (members times size-t sub-multisets) per in-memory
-# bucket: the kernel's sorts and flood run on one bucket at a time, so this
-# bounds their working set.
-BUCKET_INCIDENCES = 500_000
+# Elements of the (candidates x symmetry pairs x columns) key array built at
+# a time by the canonical form; this bounds its working set, and a chunk
+# that fits in cache was also the fastest (n=5 quartics, n=6 cubics).
+ORBIT_CHUNK = 1 << 17
+
+
+@dataclass
+class Orbits:
+    """The fiber orbits of one degree under the face stabilizer H.
+
+    Row k of `witnesses` is a multiset of packed flows (one fiber of the
+    orbit) and `sizes[k]` the number of fibers in that orbit.
+    """
+    n: int
+    degree: int
+    n_flows: int
+    witnesses: np.ndarray
+    sizes: np.ndarray
+
+
+def _affine_maps() -> np.ndarray:
+    """The 24 maps g -> aut[g] ^ t of Z2 x Z2 as (24, 4) lookup tables,
+    map 4 * (automorphism index) + t."""
+    return np.array([[aut[g] ^ t for g in groups.ELEMENTS]
+                     for aut in groups.AUTOMORPHISMS for t in groups.ELEMENTS])
+
+
+def _label_images(labels: Sequence[int], maps: np.ndarray) -> np.ndarray:
+    """(n, 24): each column's symbol-set bit mask mapped by each map."""
+    bits = (np.array(labels)[:, None] >> np.arange(4)) & 1
+    return (bits[:, None, :] << maps[None, :, :]).sum(axis=2)
+
+
+def _face_pairs(labels: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The (automorphism, flow-translation) pairs of the face stabilizer H.
+
+    `labels[i]` is the bit mask of the symbols face flows use in column i.
+    An element of H maps column i by g -> aut[g] ^ f_i, where f is a flow,
+    and then permutes the columns, so it keeps the face exactly when the
+    images of the labels are the labels again as a multiset.  The
+    translations are chosen column by column against the labels still
+    unmatched.  Returns the pairs as a (pairs, n) array of affine-map
+    indices (`_affine_maps`) and the order of H: the pair count times the
+    column permutations that keep every label.
+    """
+    img = _label_images(labels, _affine_maps())
+    kinds = sorted(set(labels))
+    need = tuple(labels.count(k) for k in kinds)
+    pairs = []
+    for a in range(len(groups.AUTOMORPHISMS)):
+        partial = [((), 0, need)]  # (maps so far, xor of f, labels left)
+        for i in range(len(labels)):
+            grown = []
+            for t in groups.ELEMENTS:
+                m = 4 * a + t
+                image = int(img[i, m])
+                if image not in kinds:
+                    continue
+                j = kinds.index(image)
+                for maps, x, left in partial:
+                    if left[j]:
+                        grown.append((maps + (m,), x ^ t,
+                                      left[:j] + (left[j] - 1,) + left[j + 1:]))
+            partial = grown
+        pairs += [maps for maps, x, _ in partial if x == 0]
+    order = len(pairs) * math.prod(math.factorial(c) for c in need)
+    return np.array(pairs, dtype=np.int64).reshape(-1, len(labels)), order
+
+
+def _canonical(codes: np.ndarray, key_index: np.ndarray,
+               key_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of profiles and the pairs that reach them.
+
+    `codes` (m, n) holds each column's count code.  A pair sends column i to
+    the key `key_table[key_index[pair, i] + code]`: the transformed face
+    label, then the transformed counts.  The canonical form is the least,
+    over the pairs, of the sorted column keys; the second array counts the
+    pairs reaching it.
+    """
+    m, n = codes.shape
+    canon = np.empty((m, n), dtype=key_table.dtype)
+    hits = np.empty(m, dtype=np.int64)
+    index = key_index.T[:, None, :]
+    top = np.iinfo(key_table.dtype).max
+    step = max(1, ORBIT_CHUNK // key_index.size)
+    for lo in range(0, m, step):
+        # (column, candidate, pair), each column's keys contiguous
+        keys = key_table[index + codes[lo:lo + step].T[:, :, None]]
+        for rnd in range(n):  # odd-even transposition sort over the columns
+            for a in range(rnd % 2, n - 1, 2):
+                low = np.minimum(keys[a], keys[a + 1])
+                np.maximum(keys[a], keys[a + 1], out=keys[a + 1])
+                keys[a] = low
+        alive = np.ones(keys.shape[1:], dtype=bool)
+        for j in range(n):
+            col = np.where(alive, keys[j], top)
+            least = col.min(axis=1)
+            alive &= col == least[:, None]
+            canon[lo:lo + step, j] = least
+        hits[lo:lo + step] = np.count_nonzero(alive, axis=1)
+    return canon, hits
+
+
+def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
+    """Fiber orbits of degree 1, 2, ... of the face whose flows these are.
+
+    The symmetries are translation by a flow, an automorphism of Z2 x Z2
+    on every entry and a permutation of the columns; H is the subgroup that
+    keeps the face.  Each candidate of degree d is a degree-(d-1) witness
+    plus one face flow, and every orbit has such a member, so
+    canonicalising all candidates finds every orbit once.  An orbit's size
+    is |H| / |Stab|, where |Stab| is the number of pairs reaching the
+    canonical form times, for each run of equal columns in it, the
+    factorial of the run's length.
+    """
+    v = len(flows)
+    sym = groups.column_symbols(flows, n).astype(np.int64)
+    labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
+    pairs, order = _face_pairs(labels)
+    maps = _affine_maps()
+    label_image = _label_images(labels, maps)
+    rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
+    for d in itertools.count(1):
+        # a column's counts as one code, count of g in digit g of base d+1
+        cells = (d + 1) ** 4
+        digits = (np.arange(cells)[:, None] // (d + 1) ** np.arange(4)) % (d + 1)
+        moved = (digits[None, :, :] * (d + 1) ** maps[:, None, :]).sum(axis=2)
+        key_table = (label_image[:, :, None] * cells + moved[None]).ravel()
+        # keys and codes are below the table's size
+        dtype = np.int32 if key_table.size < 2**31 else np.int64
+        key_table = key_table.astype(dtype)
+        key_index = ((np.arange(n) * len(maps) + pairs) * cells).astype(dtype)
+        cand = np.concatenate([np.repeat(rows, v, axis=0),
+                               np.tile(np.arange(v), len(rows))[:, None]],
+                              axis=1)
+        codes = ((d + 1) ** sym)[cand].sum(axis=1, dtype=dtype)
+        canon, hits = _canonical(codes, key_index, key_table)
+        canon, first = np.unique(canon, axis=0, return_index=True)
+        stab = hits[first]
+        run = np.ones(len(canon), dtype=np.int64)
+        for j in range(1, n):
+            run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)
+            stab = stab * run
+        rows = cand[first]
+        yield Orbits(n, d, v, flows[rows], order // stab)
+
+
+def _share_components(members: list[tuple[int, ...]], t: int) -> list[int]:
+    """Component label of each member when members sharing t rows are joined.
+
+    Two members of a fiber share t rows iff one move of degree <= d-t joins
+    them; no move has degree < 2, so with d - t < 2 each member is alone.
+    """
+    parent = list(range(len(members)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    if members and len(members[0]) - t >= 2:
+        owner: dict[tuple[int, ...], int] = {}
+        for i, rows in enumerate(members):
+            for sub in set(itertools.combinations(rows, t)):
+                j = owner.setdefault(sub, i)
+                if j != i:
+                    parent[find(i)] = find(j)
+    return [find(i) for i in range(len(members))]
+
+
+@dataclass
+class OrbitSweep:
+    generators: int  # sum over fibers of components - 1
+    fibers: int
+    largest_fiber: int
+    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _orbit_sweep(orb: Orbits, t: int) -> OrbitSweep:
+    """Components of every fiber of the degree, one fiber per orbit.
+
+    Members sharing t rows are joined.  The witness is the least member and
+    one from another component of the first split fiber met, if any.
+    Raises AssertionError unless the orbits' fibers, each counted with its
+    orbit size, hold every degree-d multiset exactly once.
+    """
+    out = OrbitSweep(0, 0, 0, None)
+    members = 0
+    for rows, size in zip(orb.witnesses.tolist(), orb.sizes.tolist()):
+        fiber = moves.profile_fiber(rows, orb.n)
+        labels = _share_components(fiber, t)
+        components = len(set(labels))
+        out.generators += size * (components - 1)
+        out.fibers += size
+        out.largest_fiber = max(out.largest_fiber, len(fiber))
+        members += size * len(fiber)
+        if out.witness is None and components > 1:
+            b = next(i for i, lab in enumerate(labels) if lab != labels[0])
+            out.witness = (fiber[0], fiber[b])
+    expected = math.comb(orb.n_flows + orb.degree - 1, orb.degree)
+    if members != expected:
+        raise AssertionError(
+            f"degree {orb.degree}: orbit fibers hold {members} multisets, "
+            f"expected {expected}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# sharded spill kernel
+# ---------------------------------------------------------------------------
 
 _KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
@@ -185,21 +406,20 @@ def _iter_keyed_chunks(v: int, d: int, key1: np.ndarray
 
 
 def _buckets(v: int, d: int, key1: np.ndarray, n_buckets: int,
-             spill_dir: Optional[str] = None,
+             spill_dir: str,
              progress: Optional[Callable[[str], None]] = None
              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every degree-d multiset as (keys, rows), one non-empty bucket at a time.
 
     Members go to buckets by a hash of their profile key, so each fiber
-    lies in one bucket.  Buckets are held in memory, or with spill_dir
-    written to one shard file each and read back one at a time.
+    lies in one bucket.  Each bucket is written to one shard file in
+    spill_dir and read back one at a time.
     """
     rec_dtype = np.dtype([("key", "<i8"),
                           ("rows", np.int16 if v <= 32767 else np.int32, (d,))])
     paths = [os.path.join(spill_dir, f"shard{j:03d}.bin")
-             for j in range(n_buckets)] if spill_dir else []
+             for j in range(n_buckets)]
     handles = [open(p, "wb") for p in paths]
-    parts: list[list[np.ndarray]] = [[] for _ in range(n_buckets)]
     written = 0
     try:
         for keys, rows in _iter_keyed_chunks(v, d, key1):
@@ -211,12 +431,9 @@ def _buckets(v: int, d: int, key1: np.ndarray, n_buckets: int,
             rec["key"] = keys[order]
             rec["rows"] = rows[order]
             for j in np.flatnonzero(np.diff(bounds)):
-                if handles:
-                    rec[bounds[j]:bounds[j + 1]].tofile(handles[j])
-                else:
-                    parts[j].append(rec[bounds[j]:bounds[j + 1]])
+                rec[bounds[j]:bounds[j + 1]].tofile(handles[j])
             written += len(keys)
-            if handles and progress and written % 20_000_000 < len(keys):
+            if progress and written % 20_000_000 < len(keys):
                 progress(f"degree {d}: spilled {written} multisets")
     finally:
         for h in handles:
@@ -225,19 +442,12 @@ def _buckets(v: int, d: int, key1: np.ndarray, n_buckets: int,
         raise AssertionError(f"bucketed {written} members, "
                              f"expected {math.comb(v + d - 1, d)}")
     for j in range(n_buckets):
-        rec = (np.fromfile(paths[j], dtype=rec_dtype) if paths
-               else np.concatenate(parts[j] or [np.empty(0, rec_dtype)]))
-        parts[j] = []
+        rec = np.fromfile(paths[j], dtype=rec_dtype)
         if not len(rec):
             continue
         yield rec["key"], rec["rows"]
-        if paths and progress:
+        if progress:
             progress(f"degree {d}: shard {j + 1}/{n_buckets} done")
-
-
-def _n_buckets(v: int, d: int, t: int) -> int:
-    return max(1, math.comb(v + d - 1, d) * math.comb(d, t)
-               // BUCKET_INCIDENCES)
 
 
 def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
@@ -262,16 +472,16 @@ def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
     raise RuntimeError("label flood did not converge")
 
 
-def _components(keys: np.ndarray, rows: np.ndarray, v: int, t: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _components(keys: np.ndarray, rows: np.ndarray, v: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Fibers and components of one bucket of degree-d members.
 
     Sorted by profile key, each fiber is a run whose id is a cumsum over
-    run boundaries.  Members of a fiber are one move of degree <= d-t apart
-    iff they share t rows, so each size-t sub-multiset of a member's rows,
-    tagged with its fiber id, is a node the flood unions through.  Returns
-    the sorted rows and two masks over them: the first member of each
-    fiber and the least member of each component.
+    run boundaries.  Members of a fiber are one proper move apart iff they
+    share a row, so each row of a member, tagged with its fiber id, is a
+    node the flood unions through.  Returns two masks over the sorted
+    members: the first member of each fiber and the least member of each
+    component.
     """
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], rows[order]
@@ -280,19 +490,16 @@ def _components(keys: np.ndarray, rows: np.ndarray, v: int, t: int
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     labels = np.arange(m, dtype=np.int64)
-    # no move has degree < 2, so with d - t < 2 every member is isolated
-    if d - t >= 2:
-        pos = np.array(list(itertools.combinations(range(d), t))).reshape(-1, t)
-        nodes = np.broadcast_to(np.cumsum(starts) - 1, (len(pos), m))
+    # no move has degree < 2, so at d = 2 every member is isolated
+    if d > 2:
         row_bits = max(1, (v - 1).bit_length())
-        for k in range(t):
-            nodes = (nodes << row_bits) | rows[:, pos[:, k]].T
+        nodes = ((np.cumsum(starts) - 1) << row_bits) | rows.T
         uniq, codes = np.unique(nodes, return_inverse=True)
         codes = codes.reshape(nodes.shape).astype(
             np.int32 if len(uniq) < 2**31 else np.int64)
         del nodes
         labels = _min_label_flood(labels, list(codes), len(uniq))
-    return rows, starts, labels == np.arange(m)
+    return starts, labels == np.arange(m)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +513,8 @@ class DegreeCensus:
     fibers: int
     multisets: int
     elapsed_s: float
+    orbits: Optional[int]  # None where the spill kernel counted the degree
+    largest_fiber: int
 
 
 @dataclass
@@ -330,43 +539,45 @@ class CensusReport:
             "degrees": [
                 {"degree": r.degree, "generators": r.generators,
                  "fibers": r.fibers, "multisets": r.multisets,
-                 "elapsed_s": round(r.elapsed_s, 3)}
+                 "elapsed_s": round(r.elapsed_s, 3),
+                 "orbits": r.orbits, "largest_fiber": r.largest_fiber}
                 for r in self.rows
             ],
         }
 
 
-def _census_degree(n: int, d: int, face: Optional[FaceSpec],
-                   member_budget: int, shards: int,
+def _census_degree(n: int, d: int, flows: np.ndarray,
+                   layers: Iterator[Orbits], member_budget: int, shards: int,
                    cache_dir: Optional[str],
                    progress: Optional[Callable[[str], None]]
                    ) -> DegreeCensus:
     t0 = time.time()
-    flows = groups.flows_array(n, face)
     v = len(flows)
     m_total = math.comb(v + d - 1, d)
     if m_total > member_budget and shards <= 0:
         raise MemoryError(
             f"degree {d}: {m_total} multisets exceed budget {member_budget}; "
             f"rerun with shards")
-    key1 = groups.profile_keys(flows, n, d)
-
-    def count(buckets) -> DegreeCensus:
-        # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
-        fibers = components = 0
-        for keys, rows in buckets:
-            _, starts, roots = _components(keys, rows, v, 1)
-            fibers += int(np.count_nonzero(starts))
-            components += int(np.count_nonzero(roots))
-        return DegreeCensus(d, components - fibers, fibers, m_total,
-                            time.time() - t0)
-
+    key1 = groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
+    # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
     if m_total <= member_budget:
-        return count(_buckets(v, d, key1, _n_buckets(v, d, 1)))
+        orb = next(o for o in layers if o.degree == d)
+        sweep = _orbit_sweep(orb, 1)
+        return DegreeCensus(d, sweep.generators, sweep.fibers, m_total,
+                            time.time() - t0, len(orb.sizes),
+                            sweep.largest_fiber)
+    fibers = components = largest = 0
     base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
     with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
                                      ignore_cleanup_errors=True) as tmpdir:
-        return count(_buckets(v, d, key1, shards, tmpdir, progress))
+        for keys, rows in _buckets(v, d, key1, shards, tmpdir, progress):
+            starts, roots = _components(keys, rows, v)
+            sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+            fibers += len(sizes)
+            components += int(np.count_nonzero(roots))
+            largest = max(largest, int(sizes.max()))
+    return DegreeCensus(d, components - fibers, fibers, m_total,
+                        time.time() - t0, None, largest)
 
 
 def minimal_generator_census(n: int, max_degree: int,
@@ -378,17 +589,19 @@ def minimal_generator_census(n: int, max_degree: int,
                              ) -> CensusReport:
     """Minimal-generator counts per degree 2..max_degree.
 
-    Degrees whose multiset count exceeds member_budget go through the
-    sharded spill path when shards > 0 (spill directory: cache_dir or
-    KIMURA_CACHE_DIR or a tempdir), and otherwise stop the report early
-    with a budget note.
+    Degrees of at most member_budget multisets go through the orbit route.
+    Larger ones go through the sharded spill kernel when shards > 0 (spill
+    directory: cache_dir or KIMURA_CACHE_DIR or a tempdir), and otherwise
+    stop the report early with a budget note.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     report = CensusReport(n, str(face or ""), max_degree)
+    flows = groups.flows_array(n, face)
+    layers = orbit_layers(flows, n)
     for d in range(2, max_degree + 1):
         try:
-            row = _census_degree(n, d, face, member_budget, shards,
+            row = _census_degree(n, d, flows, layers, member_budget, shards,
                                  cache_dir, progress)
         except (MemoryError, ProfileKeyTooWide) as exc:
             report.complete = False
@@ -414,6 +627,7 @@ class ConnectivityResult:
     move_degree: int
     checked: list[int] = field(default_factory=list)
     witness: Optional[tuple[list[str], list[str]]] = None
+    orbits: dict[int, int] = field(default_factory=dict)  # per swept degree
 
     def to_json(self) -> dict:
         obj = {
@@ -423,30 +637,11 @@ class ConnectivityResult:
             "max_table_degree": self.max_table_degree,
             "move_degree": self.move_degree,
             "checked_degrees": self.checked,
+            "orbits": {str(d): k for d, k in self.orbits.items()},
         }
         if self.witness:
             obj["witness"] = {"t0": self.witness[0], "t1": self.witness[1]}
         return obj
-
-
-def _connectivity_degree(n: int, d: int, move_degree: int,
-                         face: Optional[FaceSpec]
-                         ) -> Optional[tuple[list[str], list[str]]]:
-    """None if every degree-d fiber is connected, else a witness pair."""
-    flows = groups.flows_array(n, face)
-    key1 = groups.profile_keys(flows, n, d)
-    v = len(flows)
-    t = d - move_degree
-    for keys, rows in _buckets(v, d, key1, _n_buckets(v, d, t)):
-        rows, starts, roots = _components(keys, rows, v, t)
-        split = np.flatnonzero(roots & ~starts)
-        if len(split):
-            # a second component of some fiber, and that fiber's first member
-            b = split[0]
-            a = np.flatnonzero(starts[:b])[-1]
-            return tuple([groups.format_flow(int(flows[i]), n)
-                          for i in rows[k]] for k in (a, b))
-    return None
 
 
 def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
@@ -456,22 +651,31 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
     """True iff every fiber of degree <= max_table_degree is connected
     under moves of degree <= move_degree.
 
-    Degrees d <= move_degree are connected outright (one full-table move);
-    for larger d the shared-submultiset flood does the work.  On failure
-    the witness is a compatible pair no degree-<=move_degree trace joins.
+    Degrees d <= move_degree are connected outright (one full-table move).
+    For larger d one fiber per orbit is split into components of members
+    sharing d - move_degree rows; a fiber is connected exactly when the
+    other fibers of its orbit are.  On failure the witness is a compatible
+    pair no degree-<=move_degree trace joins.
     """
     res = ConnectivityResult(True, n, str(face or ""), max_table_degree,
                              move_degree)
+    flows = groups.flows_array(n, face)
+    layers = orbit_layers(flows, n)
     for d in range(2, max_table_degree + 1):
         if d <= move_degree:
             res.checked.append(d)
             continue
-        witness = _connectivity_degree(n, d, move_degree, face)
+        groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
+        orb = next(o for o in layers if o.degree == d)
+        sweep = _orbit_sweep(orb, d - move_degree)
+        res.orbits[d] = len(orb.sizes)
         res.checked.append(d)
         if progress:
-            progress(f"degree {d}: {'ok' if witness is None else 'DISCONNECTED'}")
-        if witness is not None:
+            progress(f"degree {d}: "
+                     + ("ok" if sweep.witness is None else "DISCONNECTED"))
+        if sweep.witness is not None:
             res.ok = False
-            res.witness = witness
+            res.witness = tuple([groups.format_flow(v, n) for v in rows]
+                                for rows in sweep.witness)
             return res
     return res

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kimura4 import groups, markov
+from kimura4.hilbert import hilbert_values
 from kimura4.markov import (census_reference, connectivity_check,
                             fiber_components, fibers,
                             minimal_generator_census, multiset_diff_size,
@@ -145,22 +148,88 @@ def _assert_flood_matches_pairwise():
 
 
 def test_connectivity_flood_matches_pairwise_components():
-    # dual route: the hashed-subset label flood against pairwise
-    # multiset-diff union-find, across move bounds
+    # dual route: the orbit route's shared-row union against pairwise
+    # multiset-diff union-find over every fiber, across move bounds
     _assert_flood_matches_pairwise()
 
 
-def test_engine_with_many_in_memory_buckets(monkeypatch):
-    # fibers spread over many buckets must give the one-bucket results
-    monkeypatch.setattr(markov, "BUCKET_INCIDENCES", 1000)
-    assert markov._n_buckets(16, 4, 1) > 10
-    assert minimal_generator_census(3, 4).counts() == census_reference(3, 4)
-    res = connectivity_check(3, 4, 2)
-    assert not res.ok and res.witness is not None
-    t0 = Table.from_strings(res.witness[0])
-    t1 = Table.from_strings(res.witness[1])
-    assert t0 != t1 and compatible(t0, t1)
-    _assert_flood_matches_pairwise()
+def _rows(report):
+    return [(r.degree, r.generators, r.fibers, r.multisets, r.largest_fiber)
+            for r in report.rows]
+
+
+def test_spill_kernel_shard_counts_match_orbit_route():
+    # the sharded kernel, on few and on many shards, against the orbit route
+    for face in (None, groups.FaceSpec.parse("3:c,2:b")):
+        orbit = minimal_generator_census(3, 5, face)
+        assert all(r.orbits for r in orbit.rows)
+        for shards in (3, 11):
+            spill = minimal_generator_census(3, 5, face, member_budget=1,
+                                             shards=shards)
+            assert all(r.orbits is None for r in spill.rows)
+            assert _rows(spill) == _rows(orbit), (str(face), shards)
+
+
+@pytest.mark.parametrize("n, face, max_degree", [
+    (3, None, 8), (4, None, 5), (5, None, 3),
+    (6, groups.FACE_P2, 3), (6, groups.FACE_P3, 3)])
+def test_orbit_sizes_sum_to_hilbert_values(n, face, max_degree):
+    # orbit sizes count fibers, and the fibers of degree d are the H(d)
+    # distinct degree-d profiles
+    flows = groups.flows_array(n, face)
+    sums = [int(o.sizes.sum()) for o in itertools.islice(
+        markov.orbit_layers(flows, n), max_degree)]
+    assert sums == hilbert_values(n, face, max_degree)[1:]
+
+
+def test_orbit_counts_match_brute_force_canonical_forms():
+    # orbit counts found by a minimum over every cell permutation of G
+    table = {3: [3, 8, 23, 51, 134, 304], 4: [5, 17, 90, 318],
+             5: [6, 31, 254]}
+    for n, counts in table.items():
+        layers = itertools.islice(
+            markov.orbit_layers(groups.flows_array(n), n), 1, len(counts) + 1)
+        assert [len(o.sizes) for o in layers] == counts, n
+
+
+@pytest.mark.parametrize("n, face, max_degree", [
+    (3, None, 5), (4, None, 4), (3, groups.FaceSpec.parse("3:c,2:b"), 5)])
+def test_orbit_route_matches_spill_kernel_and_reference(n, face, max_degree):
+    orbit = minimal_generator_census(n, max_degree, face)
+    spill = minimal_generator_census(n, max_degree, face, member_budget=1,
+                                     shards=5)
+    assert orbit.complete and spill.complete
+    assert _rows(orbit) == _rows(spill)
+    assert orbit.counts() == census_reference(n, max_degree, face)
+
+
+def test_non_symmetry_breaks_multiset_sum(monkeypatch):
+    # an automorphism on one column only maps flows to non-flows; taken as a
+    # symmetry it merges fibers of different orbits, and the orbit sizes no
+    # longer account for every multiset
+    pairs = markov._face_pairs
+
+    def with_bad_map(labels):
+        good, order = pairs(labels)
+        bad = np.zeros((1, len(labels)), dtype=good.dtype)
+        bad[0, 0] = 4 * groups.AUTOMORPHISMS.index(groups.SWAP_BC)
+        return np.concatenate([good, bad]), order
+
+    monkeypatch.setattr(markov, "_face_pairs", with_bad_map)
+    with pytest.raises(AssertionError, match="multisets"):
+        minimal_generator_census(3, 4)
+    with pytest.raises(AssertionError, match="multisets"):
+        connectivity_check(3, 6, 4)
+
+
+def test_orbit_telemetry():
+    rep = minimal_generator_census(3, 4)
+    assert [r.orbits for r in rep.rows] == [3, 8, 23]
+    assert [r.largest_fiber for r in rep.rows] == \
+        [max(len(f.members) for f in fibers(3, d)) for d in (2, 3, 4)]
+    res = connectivity_check(3, 7, 4)
+    assert res.orbits == {5: 51, 6: 134, 7: 304}
+    assert res.to_json()["orbits"] == {"5": 51, "6": 134, "7": 304}
 
 
 def test_census_report_reproducible():
