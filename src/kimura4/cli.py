@@ -133,7 +133,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     try:
         rec = hilbert.build_record(args.leaves, face, args.max_dilation,
                                    max_layer=args.max_layer)
-    except (hilbert.DilationBudgetExceeded, groups.ProfileKeyTooWide) as exc:
+    except hilbert.DilationBudgetExceeded as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = rec.to_json()
@@ -259,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--face")
     p.add_argument("--max-dilation", type=int, required=True)
-    p.add_argument("--max-layer", type=int, default=30_000_000)
+    p.add_argument("--max-layer", type=int, default=30_000_000,
+                   help="stop (exit 2) once a dilation k has more than this "
+                        "many lattice points H(k), before building k+1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hilbert)
 

@@ -3,11 +3,11 @@
 The polytope of the n-leaf model has the flows as vertices (under the
 column-indicator embedding); it is normal, so the lattice-point count of
 the k-th dilation equals the number of distinct degree-k table profiles and
-coincides with the Hilbert function.  Dilation values are computed by
-iterated sumset with deduplication on the profile key, never by facet
-geometry.  All series and fitting arithmetic is exact (big integers and
-Fractions): the numerator coefficients run to ~1e13 and convolutions
-overflow 64 bits.
+coincides with the Hilbert function.  Dilation values are counted as the
+sums of the fiber orbit sizes under the face's symmetries
+(`markov.orbit_layers`), never from facet geometry.  All series and
+fitting arithmetic is exact (big integers and Fractions): the numerator
+coefficients run to ~1e13 and convolutions overflow 64 bits.
 """
 
 from __future__ import annotations
@@ -22,71 +22,46 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import groups
+from . import groups, markov
 from .groups import FaceSpec
 
 
 class DilationBudgetExceeded(Exception):
-    """A dilation's layer outgrew max_layer profile keys."""
+    """A dilation has more than max_layer lattice points."""
 
 
 # ---------------------------------------------------------------------------
-# profile-key sumsets
+# dilation counts
 # ---------------------------------------------------------------------------
-
-# Candidates (layer key + vertex key) merged and deduplicated at a time; this
-# bounds the sumset's working set beyond the layers themselves.
-SUMSET_BUCKET = 2_000_000
-
-
-def _next_layer(layer: np.ndarray, deltas: np.ndarray, k: int,
-                max_layer: int) -> np.ndarray:
-    """Sorted distinct keys of layer + deltas.  Each layer + delta is a sorted
-    run; key cuts (sampled) take one slice of each run per bucket of about
-    SUMSET_BUCKET candidates, and timsort merges the slices of a bucket."""
-    n_buckets = -(-len(layer) * len(deltas) // SUMSET_BUCKET)
-    sample = np.sort((layer[::max(1, len(layer) // 256), None] + deltas).ravel())
-    pick = len(sample) * np.arange(1, n_buckets) // n_buckets
-    cuts = np.concatenate(([0], sample[pick], [layer[-1] + deltas.max() + 1]))
-    bounds = np.searchsorted(layer, cuts[None, :] - deltas[:, None])
-    parts, emitted = [], 0
-    for j in range(n_buckets):
-        part = np.concatenate([layer[lo:hi] + d for d, lo, hi
-                               in zip(deltas, bounds[:, j], bounds[:, j + 1])])
-        part.sort(kind="stable")
-        part = part[np.concatenate(([True], part[1:] != part[:-1]))[:len(part)]]
-        emitted += len(part)
-        if emitted > max_layer:
-            raise DilationBudgetExceeded(
-                f"dilation {k}: more than {max_layer} profiles after "
-                f"{j + 1} of {n_buckets} buckets")
-        parts.append(part)
-    return np.concatenate(parts)
-
 
 def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
                    *, max_layer: int = 30_000_000,
-                   layer_s: Optional[list[float]] = None) -> list[int]:
+                   layer_s: Optional[list[float]] = None,
+                   orbits: Optional[list[int]] = None) -> list[int]:
     """H(0..kmax): number of distinct degree-k table profiles.
 
     Valid as the Ehrhart/Hilbert function because the polytope is normal.
-    Raises groups.ProfileKeyTooWide before the first layer if a degree-kmax
-    profile key needs over 62 bits, and DilationBudgetExceeded as soon as a
-    layer passes max_layer keys.  Appends per-dilation seconds to layer_s.
+    The distinct profiles are the fibers, so H(k) is the sum of the sizes
+    of the degree-k fiber orbits of `markov.orbit_layers`.  Raises
+    DilationBudgetExceeded once some H(k) passes max_layer, before the
+    next dilation is built.  Appends per-dilation seconds to layer_s and
+    orbit counts to orbits.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     values = [1]
-    if kmax == 0:
-        return values
-    deltas = groups.profile_keys(groups.flows_array(n, face), n, kmax)
-    layer = np.array([0], dtype=np.int64)
+    layers = markov.orbit_layers(groups.flows_array(n, face), n)
     for k in range(1, kmax + 1):
         t0 = time.perf_counter()
-        layer = _next_layer(layer, deltas, k, max_layer)
-        values.append(int(len(layer)))
+        orb = next(layers)
+        values.append(int(orb.sizes.sum()))
         if layer_s is not None:
             layer_s.append(time.perf_counter() - t0)
+        if orbits is not None:
+            orbits.append(len(orb.sizes))
+        if values[-1] > max_layer:
+            raise DilationBudgetExceeded(
+                f"dilation {k}: {values[-1]} profiles, more than {max_layer}")
     return values
 
 
@@ -178,6 +153,7 @@ class HilbertRecord:
     h_coeffs: list[int] = field(default_factory=list)
     ehrhart: list[str] = field(default_factory=list)
     layer_s: list[float] = field(default_factory=list)
+    orbits: list[int] = field(default_factory=list)  # per dilation 1..kmax
 
     @property
     def h_degree(self) -> int:
@@ -193,17 +169,23 @@ class HilbertRecord:
         return 1 + self.h_degree
 
     def to_json(self) -> dict:
-        return {**asdict(self), "h_degree": self.h_degree,
+        obj = asdict(self)
+        orbits = obj.pop("orbits")
+        return {**obj, "h_degree": self.h_degree,
                 "a_invariant": self.a_invariant,
-                "regularity_bound": self.regularity_bound}
+                "regularity_bound": self.regularity_bound,
+                "orbits": orbits}
 
 
 def build_record(n: int, face: Optional[FaceSpec], kmax: int,
                  *, max_layer: int = 30_000_000) -> HilbertRecord:
     dim = polytope_dimension(n, face)
     layer_s: list[float] = []
-    values = hilbert_values(n, face, kmax, max_layer=max_layer, layer_s=layer_s)
-    rec = HilbertRecord(n, str(face or ""), dim, values, layer_s=layer_s)
+    orbits: list[int] = []
+    values = hilbert_values(n, face, kmax, max_layer=max_layer,
+                            layer_s=layer_s, orbits=orbits)
+    rec = HilbertRecord(n, str(face or ""), dim, values, layer_s=layer_s,
+                        orbits=orbits)
     try:
         rec.h_coeffs = h_numerator(values, dim)
     except ValueError:

@@ -17,11 +17,14 @@ fibers in one symmetry orbit have the same size and component count
 (orbit representatives as in Aoki & Takemura, AISM 2008; connectivity of
 every fiber as the Markov-basis criterion of Diaconis & Sturmfels, Ann.
 Statist. 1998).  The orbit route builds one witness per orbit of the face's
-stabilizer, degree by degree, enumerates that one fiber with
-`moves.profile_fiber` and weights its components by the orbit size.  Every
-run checks that orbit size times fiber size sums to all C(V+d-1, d)
-multisets.  Connectivity and every census degree of at most `member_budget`
-multisets take this route.
+stabilizer, degree by degree.  A candidate's canonical form comes from each
+column's least key under each coset of the stabilizer's translations and
+one parity class per coset, never from every symmetry.  The route
+enumerates one fiber per orbit with `moves.profile_fiber` and weights its
+components by the orbit size.  Every run checks that orbit size times fiber
+size sums to all C(V+d-1, d) multisets.  Connectivity and every census
+degree of at most `member_budget` multisets take this route, and the
+orbit sizes of a degree sum to its Hilbert value (`hilbert.hilbert_values`).
 
 Past the budget, a census degree goes through the sharded spill kernel when
 shards are asked for: a stream of keyed multisets is split by a hash of the
@@ -150,9 +153,9 @@ def census_reference(n: int, max_degree: int,
 # orbit route: one fiber per symmetry orbit
 # ---------------------------------------------------------------------------
 
-# Elements of the (candidates x symmetry pairs x columns) key array built at
-# a time by the canonical form; this bounds its working set, and a chunk
-# that fits in cache was also the fastest (n=5 quartics, n=6 cubics).
+# Elements of the (candidates x allowed coset-column-translation entries)
+# key array built at a time by the canonical form; this bounds its working
+# set.
 ORBIT_CHUNK = 1 << 17
 
 
@@ -219,38 +222,109 @@ def _face_pairs(labels: Sequence[int]) -> tuple[np.ndarray, int]:
     return np.array(pairs, dtype=np.int64).reshape(-1, len(labels)), order
 
 
-def _canonical(codes: np.ndarray, key_index: np.ndarray,
-               key_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical forms of profiles and the pairs that reach them.
+def _cosets(labels: Sequence[int], pairs: np.ndarray) -> list[list[list[int]]]:
+    """H's pairs grouped by automorphism and the label each column goes to.
 
-    `codes` (m, n) holds each column's count code.  A pair sends column i to
-    the key `key_table[key_index[pair, i] + code]`: the transformed face
-    label, then the transformed counts.  The canonical form is the least,
-    over the pairs, of the sorted column keys; the second array counts the
-    pairs reaching it.
+    Each group is a coset of H's translations.  Returns, per group and
+    column, the maps that the group's pairs use there.  Raises
+    AssertionError unless every group is exactly the choices of one such
+    map per column whose translations XOR to 0; the canonical form counts
+    on this.
+    """
+    n = len(labels)
+    image = _label_images(labels, _affine_maps())[np.arange(n), pairs]
+    _, group = np.unique(np.concatenate([pairs[:, :1] // 4, image], axis=1),
+                         axis=0, return_inverse=True)
+    group = group.ravel()
+    used = np.zeros((group.max() + 1, n), dtype=np.int64)
+    np.bitwise_or.at(used, (group[:, None], np.arange(n)), 1 << pairs)
+    out = []
+    for g, (masks, size) in enumerate(zip(used.tolist(), np.bincount(group))):
+        cols = [[m for m in range(24) if mask >> m & 1] for mask in masks]
+        ways = [1, 0, 0, 0]  # choices so far, by the XOR of their translations
+        for col in cols:
+            ways = [sum(ways[x ^ (m & 3)] for m in col) for x in range(4)]
+        if ways[0] != size:
+            raise AssertionError(f"coset {g} has {size} pairs, but its "
+                                 f"columns allow {ways[0]}")
+        out.append(cols)
+    return out
+
+
+# Subsets of Z2 x Z2 as bit masks over its elements.  For a subgroup W:
+# the least element of each coset x ^ W, and W's order.  For a union of
+# subgroups: the subgroup it spans (three elements span all four).  For a
+# coset A of a subgroup: the subgroup A ^ min(A).
+_COSET_MIN = np.array([[min([x ^ w for w in range(4) if m >> w & 1] or [0])
+                        for m in range(16)] for x in range(4)], np.uint8)
+_ORDER = np.array([bin(m).count("1") for m in range(16)])
+_SPAN = np.array([m if bin(m & 14).count("1") < 2 else 15 for m in range(16)],
+                 np.uint8)
+_SHIFTED = np.array([sum(1 << (x ^ _COSET_MIN[0, m])
+                         for x in range(4) if m >> x & 1)
+                     for m in range(16)], np.uint8)
+
+
+def _canonical(codes: np.ndarray, blocks: list[tuple[np.ndarray, ...]],
+               n_cosets: int, key_table: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of profiles and the symmetries that reach them.
+
+    `codes` (m, n) holds each column's count code.  Each block lists
+    (column, coset) slots that allow the same number of maps: the columns,
+    the cosets, and the key-table offsets and translations of the maps.  A
+    map sends column i to the key `key_table[offset + code]`: the
+    transformed face label, then the transformed counts.
+
+    Per coset, column i's least key m_i is reached by the translations
+    u_i ^ S_i, where S_i is the column's stabilizer among them.  With W the
+    span of the S_i and s the XOR of the u_i, the coset's invariant is
+    (sorted m, least element of s ^ W): two profiles are one translation
+    and column permutation apart iff these agree, since the translations
+    joining them XOR to 0 iff s(P) ^ s(Q) lies in W.  The canonical form
+    is the least invariant over the cosets.  The second array counts the
+    (coset, translation) pairs reaching it: the cosets with the least
+    invariant times prod |S_i| / |W|.
     """
     m, n = codes.shape
-    canon = np.empty((m, n), dtype=key_table.dtype)
-    hits = np.empty(m, dtype=np.int64)
-    index = key_index.T[:, None, :]
+    step = max(1, ORBIT_CHUNK // sum(b[2].size for b in blocks))
+    canon = np.empty((m, n + 1), dtype=key_table.dtype)
+    reach = np.empty(m, dtype=np.int64)
     top = np.iinfo(key_table.dtype).max
-    step = max(1, ORBIT_CHUNK // key_index.size)
     for lo in range(0, m, step):
-        # (column, candidate, pair), each column's keys contiguous
-        keys = key_table[index + codes[lo:lo + step].T[:, :, None]]
+        part = codes[lo:lo + step].T
+        c = part.shape[1]
+        # (column, coset, candidate): least key and the translations
+        # reaching it, as a bit mask
+        least = np.empty((n, n_cosets, c), dtype=key_table.dtype)
+        reached = np.empty((n, n_cosets, c), dtype=np.uint8)
+        for column, coset, offset, trans in blocks:
+            keys = key_table.take(offset[:, :, None] + part[column][:, None, :])
+            low = keys.min(axis=1)
+            least[column, coset] = low
+            reached[column, coset] = ((keys == low[:, None, :])
+                                      << trans[:, :, None]).sum(
+                                          axis=1, dtype=np.uint8)
         for rnd in range(n):  # odd-even transposition sort over the columns
             for a in range(rnd % 2, n - 1, 2):
-                low = np.minimum(keys[a], keys[a + 1])
-                np.maximum(keys[a], keys[a + 1], out=keys[a + 1])
-                keys[a] = low
-        alive = np.ones(keys.shape[1:], dtype=bool)
-        for j in range(n):
-            col = np.where(alive, keys[j], top)
-            least = col.min(axis=1)
-            alive &= col == least[:, None]
-            canon[lo:lo + step, j] = least
-        hits[lo:lo + step] = np.count_nonzero(alive, axis=1)
-    return canon, hits
+                low = np.minimum(least[a], least[a + 1])
+                np.maximum(least[a], least[a + 1], out=least[a + 1])
+                least[a] = low
+        stab = _SHIFTED.take(reached)
+        span = _SPAN.take(np.bitwise_or.reduce(stab, axis=0))
+        shift = np.bitwise_xor.reduce(_COSET_MIN[0].take(reached), axis=0)
+        parity = _COSET_MIN.take(shift * 16 + span)
+        alive = np.ones((n_cosets, c), dtype=bool)
+        for j, col in enumerate([*least, parity]):
+            col = np.where(alive, col, top)
+            best = col.min(axis=0)
+            alive &= col == best
+            canon[lo:lo + c, j] = best
+        g, rows = alive.argmax(axis=0), np.arange(c)
+        reach[lo:lo + c] = (np.count_nonzero(alive, axis=0)
+                            * _ORDER[stab[:, g, rows]].prod(axis=0)
+                            // _ORDER[span[g, rows]])
+    return canon, reach
 
 
 def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
@@ -261,16 +335,26 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     keeps the face.  Each candidate of degree d is a degree-(d-1) witness
     plus one face flow, and every orbit has such a member, so
     canonicalising all candidates finds every orbit once.  An orbit's size
-    is |H| / |Stab|, where |Stab| is the number of pairs reaching the
-    canonical form times, for each run of equal columns in it, the
-    factorial of the run's length.
+    is |H| / |Stab|, where |Stab| is the number of (coset, translation)
+    pairs reaching the canonical form times, for each run of equal columns
+    in it, the factorial of the run's length.
     """
     v = len(flows)
     sym = groups.column_symbols(flows, n).astype(np.int64)
     labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
     pairs, order = _face_pairs(labels)
+    cosets = _cosets(labels, pairs)
     maps = _affine_maps()
     label_image = _label_images(labels, maps)
+    # (column, coset) slots grouped by how many maps they allow, as
+    # (column, coset, key-table row, translation) arrays
+    blocks = []
+    for k in sorted({len(col) for cols in cosets for col in cols}):
+        i, g, col = map(np.array, zip(*[
+            (i, g, col) for g, cols in enumerate(cosets)
+            for i, col in enumerate(cols) if len(col) == k]))
+        blocks.append((i, g, i[:, None] * len(maps) + col,
+                       (col & 3).astype(np.uint8)))
     rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
     for d in itertools.count(1):
         # a column's counts as one code, count of g in digit g of base d+1
@@ -281,14 +365,18 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
         # keys and codes are below the table's size
         dtype = np.int32 if key_table.size < 2**31 else np.int64
         key_table = key_table.astype(dtype)
-        key_index = ((np.arange(n) * len(maps) + pairs) * cells).astype(dtype)
+        scaled = [(i, g, (row * cells).astype(dtype), t)
+                  for i, g, row, t in blocks]
         cand = np.concatenate([np.repeat(rows, v, axis=0),
                                np.tile(np.arange(v), len(rows))[:, None]],
                               axis=1)
-        codes = ((d + 1) ** sym)[cand].sum(axis=1, dtype=dtype)
-        canon, hits = _canonical(codes, key_index, key_table)
+        # summed row by row: a (candidates, d, n) gather would be the
+        # route's largest array
+        weight = ((d + 1) ** sym).astype(dtype)
+        codes = sum(weight[cand[:, j]] for j in range(d))
+        canon, reach = _canonical(codes, scaled, len(cosets), key_table)
         canon, first = np.unique(canon, axis=0, return_index=True)
-        stab = hits[first]
+        stab = reach[first]
         run = np.ones(len(canon), dtype=np.int64)
         for j in range(1, n):
             run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)

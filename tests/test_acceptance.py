@@ -96,13 +96,16 @@ def test_criterion_5_n6_face_censuses():
 
 @pytest.mark.skipif(os.environ.get("KIMURA_RUN_FACE_QUARTICS") != "1",
                     reason="quartic face censuses are an opt-in stretch "
-                           "(~1e9 multisets each); set "
-                           "KIMURA_RUN_FACE_QUARTICS=1")
+                           "(~1e9 multisets each, tens of seconds on the "
+                           "orbit route); set KIMURA_RUN_FACE_QUARTICS=1")
 def test_criterion_5_stretch_face_quartics():
     t0 = time.time()
-    p2 = markov.minimal_generator_census(6, 4, groups.FACE_P2, shards=96)
+    # every quartic multiset within the budget: the orbit route
+    p2 = markov.minimal_generator_census(6, 4, groups.FACE_P2,
+                                         member_budget=10**10)
     assert p2.counts()[4] == 7968
-    p3 = markov.minimal_generator_census(6, 4, groups.FACE_P3, shards=128)
+    p3 = markov.minimal_generator_census(6, 4, groups.FACE_P3,
+                                         member_budget=10**10)
     assert p3.counts()[4] == 6282
     _line("5s", "n=6 face quartics: P2 7968, P3 6282", t0)
 
@@ -112,12 +115,12 @@ def test_criterion_6_hilbert_cross_check():
     num, e, dim = hilbert.bundled_series("n6_full")
     series_vals = hilbert.expand_series(num, e, len(num) + 4)
     assert series_vals[1] == 1024
-    enum_vals = hilbert.hilbert_values(6, None, 2)
-    assert enum_vals[1] == series_vals[1]
-    assert enum_vals[2] == series_vals[2] == 218080
+    enum_vals = hilbert.hilbert_values(6, None, 4, max_layer=10**9)
+    assert enum_vals == series_vals[:5]
+    assert enum_vals[1:] == [1024, 218080, 14353408, 424014793]
     assert hilbert.h_numerator(series_vals, dim) == num
-    _line("6", "series t1=1024 and t2=218080 match enumeration; "
-          "h-numerator round-trips exactly", t0)
+    _line("6", "series t1..t4 = 1024, 218080, 14353408, 424014793 match "
+          "the orbit sums; h-numerator round-trips exactly", t0)
 
 
 def test_criterion_7_regularity_bounds():
@@ -133,13 +136,18 @@ def test_criterion_7_regularity_bounds():
         rec2 = hilbert.HilbertRecord(6, name, dim, vals,
                                      h_coeffs=hilbert.h_numerator(vals, dim))
         assert hilbert.regularity_bound(rec2) == 14
+    # n=3: generators live in degree at most 1 + deg h, from the
+    # computed Hilbert values; the census finds none from degree 5 to it
     n3 = hilbert.build_record(3, None, 12)
     bound = n3.regularity_bound
+    assert bound >= 5
     census = markov.minimal_generator_census(3, bound)
-    nonzero = [d for d, g in census.counts().items() if g > 0]
-    assert max(nonzero) <= bound
+    counts = census.counts()
+    assert census.complete and sorted(counts) == list(range(2, bound + 1))
+    assert all(counts[d] == 0 for d in range(5, bound + 1)), counts
+    nonzero = [d for d, g in counts.items() if g > 0]
     _line("7", f"bounds 16 (n=6), 14 (both codim-2 faces); n=3 census "
-          f"degrees {nonzero} within 1+deg h = {bound}", t0)
+          f"degrees {nonzero}, none in 5..1+deg h = {bound}", t0)
 
 
 def test_criterion_8_reducer_fuzz_1000():

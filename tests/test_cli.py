@@ -132,12 +132,14 @@ def test_hilbert_cli(tmp_path):
     assert rec["values"][1] == 16
     assert rec["regularity_bound"] == 1 + rec["h_degree"]
     assert len(rec["layer_s"]) == 10 and all(t >= 0 for t in rec["layer_s"])
+    assert rec["orbits"][:4] == [1, 3, 8, 23] and len(rec["orbits"]) == 10
 
 
 def test_hilbert_cli_key_width_exit_code(capsys):
-    # 6 columns of 11-bit mixed-radix counts need 66 bits
+    # dilation 10 at n=6 would need 66-bit profile keys; there is no key
+    # width limit now, and the default --max-layer stops it at H(4)
     assert main(["hilbert", "--leaves", "6", "--max-dilation", "10"]) == 2
-    assert "66 bits" in capsys.readouterr().out
+    assert "stopped: dilation 4:" in capsys.readouterr().out
 
 
 def test_hilbert_cli_layer_budget_exit_code(capsys):

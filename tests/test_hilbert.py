@@ -1,8 +1,6 @@
 import math
-import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from kimura4 import groups, hilbert
@@ -130,49 +128,32 @@ def test_dilation_budget():
         hilbert_values(4, None, 8, max_layer=10_000)
 
 
-def test_dilation_budget_boundary_mid_layer(monkeypatch):
-    monkeypatch.setattr(hilbert, "SUMSET_BUCKET", 1000)
-    # n=3: H(4) = 3611 and H(5) = 13328, from 3611 * 16 candidates
+def test_dilation_budget_boundary_mid_layer():
+    # n=3: H(4) = 3611 and H(5) = 13328; the budget bounds H(k) itself
     assert hilbert_values(3, None, 5, max_layer=13328)[-1] == 13328
     with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 5"):
         hilbert_values(3, None, 5, max_layer=13327)
-    # a budget of H(4) stops dilation 5 before its last bucket
-    with pytest.raises(hilbert.DilationBudgetExceeded) as exc:
-        hilbert_values(3, None, 5, max_layer=3611)
-    done, total = map(int, re.search(r"after (\d+) of (\d+)",
-                                      str(exc.value)).groups())
-    assert done < total == 58
+    # a dilation over budget stops the run before the next one is built
+    layer_s = []
+    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 4:"):
+        hilbert_values(3, None, 5, max_layer=3610, layer_s=layer_s)
+    assert len(layer_s) == 4
 
 
 def test_profile_key_width_boundary():
-    # n=6 keys take 6 fields of 10 bits at dilation 9 and of 11 bits at 10
+    # no profile-key width limit: n=6 to dilation 10 (66-bit keys) stops
+    # on the default budget at H(4) = 424014793, not on the key width
     with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 1:"):
         hilbert_values(6, None, 9, max_layer=1000)
     layer_s = []
-    with pytest.raises(groups.ProfileKeyTooWide, match="66 bits"):
+    with pytest.raises(hilbert.DilationBudgetExceeded,
+                       match="dilation 4: 424014793 profiles"):
         hilbert_values(6, None, 10, layer_s=layer_s)
-    assert layer_s == []
+    assert len(layer_s) == 4
 
 
-@pytest.mark.parametrize("n, face, kmax", [(3, None, 7),
-                                           (6, groups.FACE_P1, 2)])
-def test_sumset_buckets_match_unique(monkeypatch, n, face, kmax):
-    # buckets of 500 candidates: over a hundred in the last layer, and many
-    # get an empty slice of layer + delta for some deltas
-    monkeypatch.setattr(hilbert, "SUMSET_BUCKET", 500)
-    deltas = groups.profile_keys(groups.flows_array(n, face), n, kmax)
-    # per column, counts of a, b, c in base kmax+1, in a field that holds
-    # kmax rows of c
-    base = kmax + 1
-    bits = (kmax * base ** 2).bit_length()
-    expect = [sum(base ** (g - 1) << (bits * i)
-                  for i in range(n) if (g := groups.entry(v, i, n)))
-              for v in groups.enumerate_flows(n, face)]
-    assert deltas.tolist() == expect
-    layer = np.array([0], dtype=np.int64)
-    for k in range(1, kmax + 1):
-        buckets = -(-len(layer) * len(deltas) // 500)
-        got = hilbert._next_layer(layer, deltas, k, 10 ** 9)
-        layer = np.unique((layer[:, None] + deltas).ravel())
-        assert np.array_equal(got, layer), k
-    assert buckets > 10
+def test_record_orbit_counts():
+    rec = build_record(3, None, 4)
+    assert rec.orbits == [1, 3, 8, 23]
+    obj = rec.to_json()
+    assert list(obj)[-1] == "orbits" and obj["orbits"] == [1, 3, 8, 23]

@@ -172,14 +172,24 @@ def test_spill_kernel_shard_counts_match_orbit_route():
 
 @pytest.mark.parametrize("n, face, max_degree", [
     (3, None, 8), (4, None, 5), (5, None, 3),
-    (6, groups.FACE_P2, 3), (6, groups.FACE_P3, 3)])
+    (6, groups.FACE_P2, 3), (6, groups.FACE_P3, 3),
+    # faces whose stabilizers swap column labels
+    (4, groups.FaceSpec.parse("2:b,3:c"), 5),
+    (4, groups.FaceSpec.parse("1:a,2:b,3:c"), 5)])
 def test_orbit_sizes_sum_to_hilbert_values(n, face, max_degree):
     # orbit sizes count fibers, and the fibers of degree d are the H(d)
-    # distinct degree-d profiles
+    # distinct degree-d profiles, counted here by a plain sumset of
+    # profile keys (sort and drop repeats; np.unique is far slower here)
     flows = groups.flows_array(n, face)
+    keys = groups.profile_keys(flows, n, max_degree)
+    layer, distinct = np.zeros(1, dtype=np.int64), []
+    for _ in range(max_degree):
+        layer = np.sort((layer[:, None] + keys).ravel())
+        layer = layer[np.append(True, layer[1:] != layer[:-1])]
+        distinct.append(len(layer))
     sums = [int(o.sizes.sum()) for o in itertools.islice(
         markov.orbit_layers(flows, n), max_degree)]
-    assert sums == hilbert_values(n, face, max_degree)[1:]
+    assert sums == hilbert_values(n, face, max_degree)[1:] == distinct
 
 
 def test_orbit_counts_match_brute_force_canonical_forms():
@@ -205,21 +215,35 @@ def test_orbit_route_matches_spill_kernel_and_reference(n, face, max_degree):
 
 def test_non_symmetry_breaks_multiset_sum(monkeypatch):
     # an automorphism on one column only maps flows to non-flows; taken as a
-    # symmetry it merges fibers of different orbits, and the orbit sizes no
-    # longer account for every multiset
-    pairs = markov._face_pairs
+    # coset of symmetries it merges fibers of different orbits, and the
+    # orbit sizes no longer account for every multiset
+    cosets = markov._cosets
 
-    def with_bad_map(labels):
-        good, order = pairs(labels)
-        bad = np.zeros((1, len(labels)), dtype=good.dtype)
-        bad[0, 0] = 4 * groups.AUTOMORPHISMS.index(groups.SWAP_BC)
-        return np.concatenate([good, bad]), order
+    def with_bad_coset(labels, pairs):
+        swap = 4 * groups.AUTOMORPHISMS.index(groups.SWAP_BC)
+        bad = [[swap + t for t in range(4)]]
+        bad += [list(range(4)) for _ in labels[1:]]
+        return cosets(labels, pairs) + [bad]
 
-    monkeypatch.setattr(markov, "_face_pairs", with_bad_map)
+    monkeypatch.setattr(markov, "_cosets", with_bad_coset)
     with pytest.raises(AssertionError, match="multisets"):
         minimal_generator_census(3, 4)
     with pytest.raises(AssertionError, match="multisets"):
         connectivity_check(3, 6, 4)
+
+
+def test_cosets_must_be_whole(monkeypatch):
+    # a coset missing one of its pairs is not every per-column choice of
+    # maps whose translations XOR to 0, which the orbit sizes count on
+    pairs = markov._face_pairs
+
+    def without_first(labels):
+        good, order = pairs(labels)
+        return good[1:], order
+
+    monkeypatch.setattr(markov, "_face_pairs", without_first)
+    with pytest.raises(AssertionError, match="coset 0 has 15 pairs"):
+        minimal_generator_census(3, 3)
 
 
 def test_orbit_telemetry():
