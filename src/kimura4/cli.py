@@ -158,8 +158,10 @@ def cmd_series(args: argparse.Namespace) -> int:
             numer = [int(c) for c in json.load(fh)]
         denom_exp = args.denom_exp
         dim = denom_exp - 1
-    values = hilbert.expand_series(numer, denom_exp, args.expand)
-    back = hilbert.h_numerator(values, dim)
+    # the round trip needs H(0..dim); h has degree at most dim
+    series = hilbert.expand_series(numer, denom_exp, max(args.expand, dim))
+    values = series[:args.expand + 1]
+    back = hilbert.h_numerator(series, dim) if len(numer) <= dim + 1 else None
     payload = {
         "numerator": [str(c) for c in numer],
         "denom_exp": denom_exp,

@@ -66,10 +66,24 @@ def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
 
 
 def polytope_dimension(n: int, face: Optional[FaceSpec] = None) -> int:
-    """Affine rank of the vertex set under the column-indicator embedding."""
+    """Affine rank of the vertex set under the column-indicator embedding.
+
+    With A the vertices less the first, this is the rank of the integer
+    Gram matrix A^T A by exact fraction-free (Bareiss) elimination.  A^T A
+    is positive semidefinite: a zero left on its diagonal is a zero row.
+    """
     syms = groups.column_symbols(groups.flows_array(n, face), n)
-    pts = np.eye(4)[syms].reshape(len(syms), 4 * n)
-    return int(np.linalg.matrix_rank(pts - pts[0]))
+    pts = np.eye(4, dtype=np.int64)[syms].reshape(len(syms), 4 * n)
+    pts -= pts[0]
+    gram = np.einsum("vi,vj->ij", pts, pts).tolist()
+    rank, last = 0, 1
+    for p, top in enumerate(gram):
+        if top[p]:
+            for r in range(p + 1, len(gram)):
+                gram[r] = [(top[p] * x - gram[r][p] * y) // last
+                           for x, y in zip(gram[r], top)]
+            rank, last = rank + 1, top[p]
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +101,21 @@ def expand_series(numerator: Sequence[int], denom_exp: int, kmax: int) -> list[i
 def h_numerator(values: Sequence[int], dim: int) -> list[int]:
     """Numerator h with sum H(j) t^j = h(t) / (1-t)**(dim+1).
 
-    Convolves the values with the alternating binomials of (1-t)^(dim+1);
-    the provided values must exhibit termination (trailing zero), otherwise
-    more dilations are needed and ValueError is raised.
+    Convolves the values with the alternating binomials of (1-t)^(dim+1).
+    h has degree at most dim, so H(0..dim) determine it; with fewer values
+    ValueError is raised, and so it is when a coefficient past dim does not
+    vanish.  Zeros inside h are kept: only trailing ones are dropped.
     """
+    if len(values) <= dim:
+        raise ValueError(f"h-numerator needs H(0..{dim})")
     e = dim + 1
     coeffs = [sum((-1) ** j * math.comb(e, j) * values[k - j]
                   for j in range(min(k, e) + 1)) for k in range(len(values))]
+    if any(coeffs[e:]):
+        raise ValueError(f"values are not h(t)/(1-t)^{e} with deg h <= {dim}")
+    del coeffs[e:]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    if len(coeffs) == len(values) and coeffs[-1] != 0:
-        raise ValueError(
-            "h-numerator does not terminate within the provided dilations")
     return coeffs
 
 
@@ -186,13 +203,9 @@ def build_record(n: int, face: Optional[FaceSpec], kmax: int,
                             layer_s=layer_s, orbits=orbits)
     rec = HilbertRecord(n, str(face or ""), dim, values, layer_s=layer_s,
                         orbits=orbits)
-    try:
-        rec.h_coeffs = h_numerator(values, dim)
-    except ValueError:
-        rec.h_coeffs = []
     if kmax >= dim:
-        poly = fit_ehrhart(values, dim)
-        rec.ehrhart = [str(c) for c in poly]
+        rec.h_coeffs = h_numerator(values, dim)
+        rec.ehrhart = [str(c) for c in fit_ehrhart(values, dim)]
     return rec
 
 

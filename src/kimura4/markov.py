@@ -108,11 +108,8 @@ def fiber_components(f: Fiber, move_degree: int,
     restricts to proper sub-multiset replacements (degree <= d-1), the
     convention under which components count minimal generators.
     """
-    if move_degree < 2:
-        # no degree-1 moves exist, so with bound < 2 everything is isolated
-        bound = 1
-    else:
-        bound = move_degree
+    # no degree-1 moves exist, so with bound < 2 everything is isolated
+    bound = max(move_degree, 1)
     if census_mode:
         bound = min(bound, f.degree - 1)
     m = len(f.members)
@@ -153,9 +150,8 @@ def census_reference(n: int, max_degree: int,
 # orbit route: one fiber per symmetry orbit
 # ---------------------------------------------------------------------------
 
-# Elements of the (candidates x allowed coset-column-translation entries)
-# key array built at a time by the canonical form; this bounds its working
-# set.
+# Elements of the (column, coset, candidate) arrays that the canonical form
+# builds at a time; this bounds its working set.
 ORBIT_CHUNK = 1 << 17
 
 
@@ -186,69 +182,50 @@ def _label_images(labels: Sequence[int], maps: np.ndarray) -> np.ndarray:
     return (bits[:, None, :] << maps[None, :, :]).sum(axis=2)
 
 
-def _face_pairs(labels: Sequence[int]) -> tuple[np.ndarray, int]:
-    """The (automorphism, flow-translation) pairs of the face stabilizer H.
+def _xor_ways(cols: list[list[int]]) -> list[int]:
+    """Choices of one map per column by the XOR of their translations."""
+    ways = [1, 0, 0, 0]
+    for col in cols:
+        ways = [sum(ways[x ^ (m & 3)] for m in col) for x in range(4)]
+    return ways
+
+
+def _cosets(labels: Sequence[int]) -> tuple[list[list[list[int]]], int]:
+    """The cosets of the face stabilizer H's translations, and |H|.
 
     `labels[i]` is the bit mask of the symbols face flows use in column i.
     An element of H maps column i by g -> aut[g] ^ f_i, where f is a flow,
     and then permutes the columns, so it keeps the face exactly when the
-    images of the labels are the labels again as a multiset.  The
-    translations are chosen column by column against the labels still
-    unmatched.  Returns the pairs as a (pairs, n) array of affine-map
-    indices (`_affine_maps`) and the order of H: the pair count times the
-    column permutations that keep every label.
+    images of the labels are the labels again as a multiset.  A coset is an
+    automorphism and an image label per column, in that order, reached by
+    translations XORing to 0; per column it holds the maps (`_affine_maps`
+    indices) these use.  |H| is their count times the column permutations
+    that keep every label.
     """
+    n = len(labels)
     img = _label_images(labels, _affine_maps())
     kinds = sorted(set(labels))
     need = tuple(labels.count(k) for k in kinds)
-    pairs = []
+    cosets, choices = [], 0
     for a in range(len(groups.AUTOMORPHISMS)):
-        partial = [((), 0, need)]  # (maps so far, xor of f, labels left)
-        for i in range(len(labels)):
-            grown = []
-            for t in groups.ELEMENTS:
-                m = 4 * a + t
-                image = int(img[i, m])
-                if image not in kinds:
-                    continue
-                j = kinds.index(image)
-                for maps, x, left in partial:
-                    if left[j]:
-                        grown.append((maps + (m,), x ^ t,
-                                      left[:j] + (left[j] - 1,) + left[j + 1:]))
-            partial = grown
-        pairs += [maps for maps, x, _ in partial if x == 0]
-    order = len(pairs) * math.prod(math.factorial(c) for c in need)
-    return np.array(pairs, dtype=np.int64).reshape(-1, len(labels)), order
-
-
-def _cosets(labels: Sequence[int], pairs: np.ndarray) -> list[list[list[int]]]:
-    """H's pairs grouped by automorphism and the label each column goes to.
-
-    Each group is a coset of H's translations.  Returns, per group and
-    column, the maps that the group's pairs use there.  Raises
-    AssertionError unless every group is exactly the choices of one such
-    map per column whose translations XOR to 0; the canonical form counts
-    on this.
-    """
-    n = len(labels)
-    image = _label_images(labels, _affine_maps())[np.arange(n), pairs]
-    _, group = np.unique(np.concatenate([pairs[:, :1] // 4, image], axis=1),
-                         axis=0, return_inverse=True)
-    group = group.ravel()
-    used = np.zeros((group.max() + 1, n), dtype=np.int64)
-    np.bitwise_or.at(used, (group[:, None], np.arange(n)), 1 << pairs)
-    out = []
-    for g, (masks, size) in enumerate(zip(used.tolist(), np.bincount(group))):
-        cols = [[m for m in range(24) if mask >> m & 1] for mask in masks]
-        ways = [1, 0, 0, 0]  # choices so far, by the XOR of their translations
-        for col in cols:
-            ways = [sum(ways[x ^ (m & 3)] for m in col) for x in range(4)]
-        if ways[0] != size:
-            raise AssertionError(f"coset {g} has {size} pairs, but its "
-                                 f"columns allow {ways[0]}")
-        out.append(cols)
-    return out
+        # column i's maps under automorphism a by the label they reach
+        reach = [{k: [m for m in range(4 * a, 4 * a + 4) if img[i, m] == k]
+                  for k in kinds} for i in range(n)]
+        partial = [([], need)]  # (maps of the columns so far, labels left)
+        for i in range(n):
+            partial = [(cols + [reach[i][k]],
+                        left[:j] + (left[j] - 1,) + left[j + 1:])
+                       for cols, left in partial
+                       for j, k in enumerate(kinds) if left[j] and reach[i][k]]
+        for cols, _ in partial:
+            if count := _xor_ways(cols)[0]:
+                # a map is used where the other columns can cancel its
+                # translation
+                cosets.append([[m for m in col
+                                if _xor_ways(cols[:i] + cols[i + 1:])[m & 3]]
+                               for i, col in enumerate(cols)])
+                choices += count
+    return cosets, choices * math.prod(math.factorial(c) for c in need)
 
 
 # Subsets of Z2 x Z2 as bit masks over its elements.  For a subgroup W:
@@ -265,16 +242,15 @@ _SHIFTED = np.array([sum(1 << (x ^ _COSET_MIN[0, m])
                      for m in range(16)], np.uint8)
 
 
-def _canonical(codes: np.ndarray, blocks: list[tuple[np.ndarray, ...]],
-               n_cosets: int, key_table: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _canonical(codes: np.ndarray, least_table: np.ndarray,
+               reached_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical forms of profiles and the symmetries that reach them.
 
-    `codes` (m, n) holds each column's count code.  Each block lists
-    (column, coset) slots that allow the same number of maps: the columns,
-    the cosets, and the key-table offsets and translations of the maps.  A
-    map sends column i to the key `key_table[offset + code]`: the
-    transformed face label, then the transformed counts.
+    `codes` (m, n) holds each column's count code.  A map sends a column to
+    a key: the transformed face label, then the transformed counts.  The
+    tables give, per (column, coset) and code, the least key over the
+    coset's maps of the column and the translations reaching it, as a bit
+    mask.
 
     Per coset, column i's least key m_i is reached by the translations
     u_i ^ S_i, where S_i is the column's stabilizer among them.  With W the
@@ -287,29 +263,20 @@ def _canonical(codes: np.ndarray, blocks: list[tuple[np.ndarray, ...]],
     invariant times prod |S_i| / |W|.
     """
     m, n = codes.shape
-    step = max(1, ORBIT_CHUNK // sum(b[2].size for b in blocks))
-    canon = np.empty((m, n + 1), dtype=key_table.dtype)
+    n_cosets, cells = least_table.shape[1:]
+    slots = np.arange(n * n_cosets).reshape(n, n_cosets, 1) * cells
+    step = max(1, ORBIT_CHUNK // (n * n_cosets))
+    canon = np.empty((m, n + 1), dtype=least_table.dtype)
     reach = np.empty(m, dtype=np.int64)
-    top = np.iinfo(key_table.dtype).max
+    top = np.iinfo(least_table.dtype).max
     for lo in range(0, m, step):
-        part = codes[lo:lo + step].T
-        c = part.shape[1]
-        # (column, coset, candidate): least key and the translations
-        # reaching it, as a bit mask
-        least = np.empty((n, n_cosets, c), dtype=key_table.dtype)
-        reached = np.empty((n, n_cosets, c), dtype=np.uint8)
-        for column, coset, offset, trans in blocks:
-            keys = key_table.take(offset[:, :, None] + part[column][:, None, :])
-            low = keys.min(axis=1)
-            least[column, coset] = low
-            reached[column, coset] = ((keys == low[:, None, :])
-                                      << trans[:, :, None]).sum(
-                                          axis=1, dtype=np.uint8)
+        # table index per (column, coset, candidate)
+        at = slots + codes[lo:lo + step].T[:, None, :]
+        c = at.shape[2]
+        least, reached = least_table.take(at), reached_table.take(at)
         for rnd in range(n):  # odd-even transposition sort over the columns
-            for a in range(rnd % 2, n - 1, 2):
-                low = np.minimum(least[a], least[a + 1])
-                np.maximum(least[a], least[a + 1], out=least[a + 1])
-                least[a] = low
+            a, b = least[rnd % 2:n - 1:2], least[rnd % 2 + 1::2]
+            a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
         stab = _SHIFTED.take(reached)
         span = _SPAN.take(np.bitwise_or.reduce(stab, axis=0))
         shift = np.bitwise_xor.reduce(_COSET_MIN[0].take(reached), axis=0)
@@ -342,46 +309,45 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     v = len(flows)
     sym = groups.column_symbols(flows, n).astype(np.int64)
     labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
-    pairs, order = _face_pairs(labels)
-    cosets = _cosets(labels, pairs)
+    cosets, order = _cosets(labels)
     maps = _affine_maps()
     label_image = _label_images(labels, maps)
-    # (column, coset) slots grouped by how many maps they allow, as
-    # (column, coset, key-table row, translation) arrays
-    blocks = []
-    for k in sorted({len(col) for cols in cosets for col in cols}):
-        i, g, col = map(np.array, zip(*[
-            (i, g, col) for g, cols in enumerate(cosets)
-            for i, col in enumerate(cols) if len(col) == k]))
-        blocks.append((i, g, i[:, None] * len(maps) + col,
-                       (col & 3).astype(np.uint8)))
     rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
     for d in itertools.count(1):
-        # a column's counts as one code, count of g in digit g of base d+1
-        cells = (d + 1) ** 4
-        digits = (np.arange(cells)[:, None] // (d + 1) ** np.arange(4)) % (d + 1)
-        moved = (digits[None, :, :] * (d + 1) ** maps[:, None, :]).sum(axis=2)
-        key_table = (label_image[:, :, None] * cells + moved[None]).ravel()
-        # keys and codes are below the table's size
-        dtype = np.int32 if key_table.size < 2**31 else np.int64
-        key_table = key_table.astype(dtype)
-        scaled = [(i, g, (row * cells).astype(dtype), t)
-                  for i, g, row, t in blocks]
-        cand = np.concatenate([np.repeat(rows, v, axis=0),
-                               np.tile(np.arange(v), len(rows))[:, None]],
-                              axis=1)
-        # summed row by row: a (candidates, d, n) gather would be the
-        # route's largest array
-        weight = ((d + 1) ** sym).astype(dtype)
-        codes = sum(weight[cand[:, j]] for j in range(d))
-        canon, reach = _canonical(codes, scaled, len(cosets), key_table)
-        canon, first = np.unique(canon, axis=0, return_index=True)
+        # a column's counts as one code, count of g in digit g of base d+1;
+        # map m sends code x of column i to key_table[i, m, x], which is
+        # below 16 * cells
+        base, cells = d + 1, (d + 1) ** 4
+        dtype = np.int32 if 16 * cells < 2**31 else np.int64
+        digit = (np.arange(cells, dtype=dtype)
+                 // base ** np.arange(4, dtype=dtype)[:, None] % base)
+        moved = sum(digit[g] * base ** maps[:, g:g + 1].astype(dtype)
+                    for g in range(4))
+        key_table = (label_image * cells).astype(dtype)[:, :, None] + moved
+        least = np.empty((n, len(cosets), cells), dtype=dtype)
+        reached = np.empty((n, len(cosets), cells), dtype=np.uint8)
+        for g, cols in enumerate(cosets):
+            for i, col in enumerate(cols):
+                keys = key_table[i, col]
+                least[i, g] = low = keys.min(axis=0)
+                reached[i, g] = ((keys == low)
+                                 << (np.array(col)[:, None] & 3)).sum(axis=0)
+        # candidate r * v + f is witness r plus flow f
+        weight = (base ** sym).astype(dtype)
+        prefix = weight[rows].sum(axis=1, dtype=dtype)
+        codes = (prefix[:, None, :] + weight).reshape(-1, n)
+        canon, reach = _canonical(codes, least, reached)
+        # sorted distinct canonical forms, each at its first candidate
+        perm = np.lexsort(canon.T[::-1])
+        canon = canon[perm]
+        new = np.append(True, np.any(canon[1:] != canon[:-1], axis=1))
+        canon, first = canon[new], perm[new]
         stab = reach[first]
         run = np.ones(len(canon), dtype=np.int64)
         for j in range(1, n):
             run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)
             stab = stab * run
-        rows = cand[first]
+        rows = np.concatenate([rows[first // v], (first % v)[:, None]], axis=1)
         yield Orbits(n, d, v, flows[rows], order // stab)
 
 

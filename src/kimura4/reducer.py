@@ -264,6 +264,10 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
     replacement pair therefore lowers the potential exactly when one of
     its rows lies closer than k to a row of the opposite table: at
     distance 0 the stripped degree drops, otherwise the distance does.
+    A replacement row of (u, v) keeps u's or v's symbol in each column, so
+    it is at least c columns from a row y that has neither in c columns,
+    and at least 2 if c > 0 (no two flows are one column apart); (u, v) is
+    skipped when that bound reaches k for every y.
     """
     n = a.n
     m = column_mask(n)
@@ -275,6 +279,10 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
             if (u, v) in tried or u == v:
                 continue
             tried.add((u, v))
+            misses = ((((p := u ^ y) | p >> 1) & ((q := v ^ y) | q >> 1)
+                       & m).bit_count() for y in other)
+            if all(max(c, 2 if c else 0) >= k for c in misses):
+                continue
             for repl in profile_fiber((u, v), n):
                 if repl != (u, v) and any(
                         (((z := w ^ y) | z >> 1) & m).bit_count() < k

@@ -154,11 +154,27 @@ def test_series_cli_bundled(capsys):
     assert "H(1) = 1024" in out and "round trip ok" in out
 
 
+def test_series_cli_round_trip_ignores_expand(tmp_path, capsys):
+    # the round trip reads H(0..dim) however few terms --expand prints
+    out = tmp_path / "series.json"
+    assert main(["series", "--paper-series", "n6_full", "--out",
+                 str(out)]) == 0
+    assert "round trip ok" in capsys.readouterr().out
+    assert len(json.loads(out.read_text())["values"]) == 6
+
+
 def test_series_cli_numerator_file(tmp_path, capsys):
     f = tmp_path / "num.json"
     f.write_text("[1]")
     assert main(["series", "--numerator-file", str(f), "--denom-exp", "2",
                  "--expand", "3"]) == 0
+    # an internal zero survives; a numerator past t^dim is no h-vector
+    f.write_text("[1, 0, 2]")
+    assert main(["series", "--numerator-file", str(f), "--denom-exp", "4",
+                 "--expand", "1"]) == 0
+    assert main(["series", "--numerator-file", str(f), "--denom-exp", "2",
+                 "--expand", "9"]) == 1
+    assert capsys.readouterr().out.count("round trip FAILED") == 1
 
 
 def test_verify_moves_cli(capsys):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kimura4 import groups, hilbert
@@ -37,11 +38,27 @@ def test_h_numerator_point_polytope():
 
 
 def test_h_numerator_needs_termination():
-    # truncating before the tail of zeros must raise
+    # fewer than dim + 1 values must raise, even where h's degree is lower
     num, e, dim = bundled_series("n6_full")
-    values = expand_series(num, e, 10)
-    with pytest.raises(ValueError):
-        h_numerator(values, dim)
+    with pytest.raises(ValueError, match="needs H"):
+        h_numerator(expand_series(num, e, 10), dim)
+    with pytest.raises(ValueError, match="needs H"):
+        h_numerator(expand_series(num, e, dim - 1), dim)
+    assert h_numerator(expand_series(num, e, dim), dim) == num
+
+
+def test_h_numerator_keeps_internal_zeros():
+    # a Reeve-tetrahedron-like h = 1 + 2t^2: one zero after t^0 must not
+    # end it
+    values = expand_series([1, 0, 2], 4, 6)
+    assert h_numerator(values, 3) == [1, 0, 2]
+    assert h_numerator(values[:4], 3) == [1, 0, 2]
+
+
+def test_h_numerator_rejects_coefficients_past_dim():
+    values = expand_series([1, 0, 2], 2, 6)  # degree 2 over (1-t)^2
+    with pytest.raises(ValueError, match="deg h <= 1"):
+        h_numerator(values, 1)
 
 
 def test_regularity_bounds_from_paper_series():
@@ -95,6 +112,13 @@ def test_polytope_dimensions():
     assert polytope_dimension(4) == 12
     assert polytope_dimension(6, groups.FACE_P1) == 15
     assert polytope_dimension(6, groups.FACE_CODIM2_A) == 16
+    # the exact Gram rank against a floating-point rank of the vertices
+    for n, face in [(2, None), (5, None), (6, groups.FaceSpec.parse("1:a")),
+                    *[(6, f) for f in groups.NAMED_FACES.values()]]:
+        syms = groups.column_symbols(groups.flows_array(n, face), n)
+        pts = np.eye(4)[syms].reshape(len(syms), 4 * n)
+        assert polytope_dimension(n, face) == np.linalg.matrix_rank(
+            pts - pts[0]), (n, str(face))
 
 
 def test_n3_record_full():

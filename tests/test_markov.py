@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -219,11 +222,12 @@ def test_non_symmetry_breaks_multiset_sum(monkeypatch):
     # orbit sizes no longer account for every multiset
     cosets = markov._cosets
 
-    def with_bad_coset(labels, pairs):
+    def with_bad_coset(labels):
         swap = 4 * groups.AUTOMORPHISMS.index(groups.SWAP_BC)
         bad = [[swap + t for t in range(4)]]
         bad += [list(range(4)) for _ in labels[1:]]
-        return cosets(labels, pairs) + [bad]
+        good, order = cosets(labels)
+        return good + [bad], order
 
     monkeypatch.setattr(markov, "_cosets", with_bad_coset)
     with pytest.raises(AssertionError, match="multisets"):
@@ -232,18 +236,81 @@ def test_non_symmetry_breaks_multiset_sum(monkeypatch):
         connectivity_check(3, 6, 4)
 
 
-def test_cosets_must_be_whole(monkeypatch):
-    # a coset missing one of its pairs is not every per-column choice of
-    # maps whose translations XOR to 0, which the orbit sizes count on
-    pairs = markov._face_pairs
+def test_coset_missing_a_map_breaks_multiset_sum(monkeypatch):
+    # a coset missing one of its column's maps is not every per-column
+    # choice of maps whose translations XOR to 0, which the orbit sizes
+    # count on
+    cosets = markov._cosets
 
-    def without_first(labels):
-        good, order = pairs(labels)
-        return good[1:], order
+    def without_first_map(labels):
+        good, order = cosets(labels)
+        first = good[0]
+        return [[first[0][1:]] + first[1:]] + good[1:], order
 
-    monkeypatch.setattr(markov, "_face_pairs", without_first)
-    with pytest.raises(AssertionError, match="coset 0 has 15 pairs"):
+    monkeypatch.setattr(markov, "_cosets", without_first_map)
+    with pytest.raises(AssertionError, match="hold 259 multisets"):
         minimal_generator_census(3, 3)
+
+
+def _pair_cosets(labels):
+    # every (automorphism, translation) pair of H, listed one by one and
+    # grouped by automorphism and column images, as np.unique sorts them
+    n = len(labels)
+    img = markov._label_images(labels, markov._affine_maps())
+    grouped = {}
+    for a in range(len(groups.AUTOMORPHISMS)):
+        for ts in itertools.product(range(4), repeat=n):
+            if functools.reduce(operator.xor, ts):
+                continue
+            maps = [4 * a + t for t in ts]
+            image = tuple(int(img[i, m]) for i, m in enumerate(maps))
+            if sorted(image) == sorted(labels):
+                grouped.setdefault((a, image), []).append(maps)
+    cosets = []
+    for key in sorted(grouped):
+        pairs = grouped[key]
+        cols = [sorted({p[i] for p in pairs}) for i in range(n)]
+        # the group is whole: every per-column choice XORing to 0
+        whole = sum(not functools.reduce(operator.xor, ms) & 3
+                    for ms in itertools.product(*cols))
+        assert whole == len(pairs), key
+        cosets.append(cols)
+    factorials = math.prod(math.factorial(labels.count(k))
+                           for k in set(labels))
+    return cosets, sum(map(len, grouped.values())) * factorials
+
+
+def test_direct_cosets_match_pair_listing():
+    cases = [(n, None) for n in range(2, 7)]
+    cases += [(6, face) for face in groups.NAMED_FACES.values()]
+    cases += [(n, groups.FaceSpec.parse(text)) for n in range(3, 7)
+              for text in ("1:a,2:a", "1:a,1:b,2:c")]
+    for n, face in cases:
+        sym = groups.column_symbols(groups.flows_array(n, face), n)
+        labels = [int(np.bitwise_or.reduce(1 << sym[:, i].astype(np.int64)))
+                  for i in range(n)]
+        assert markov._cosets(labels) == _pair_cosets(labels), (n, str(face))
+
+
+# SHA-256 of the orbit witnesses and sizes below, computed when cosets came
+# from listing H's pairs and canonical forms were deduplicated by
+# np.unique(axis=0); any change of orbit order or content changes it.
+PINNED_ORBIT_DIGEST = (
+    "c2cf9def651096ee9c474cf6012dad88fe2a03f91e0b8673eae193ab14d84793")
+
+
+def test_orbits_match_pinned_digest():
+    cases = [(3, None, 8), (4, None, 6), (5, None, 3), (6, None, 3)]
+    cases += [(6, face, 3) for face in groups.NAMED_FACES.values()]
+    cases += [(4, groups.FaceSpec.parse(text), 5)
+              for text in ("2:b,3:c", "1:a,2:b,3:c")]
+    digest = hashlib.sha256()
+    for n, face, max_degree in cases:
+        layers = markov.orbit_layers(groups.flows_array(n, face), n)
+        for orb in itertools.islice(layers, max_degree):
+            digest.update(orb.witnesses.astype("<i8").tobytes())
+            digest.update(orb.sizes.astype("<i8").tobytes())
+    assert digest.hexdigest() == PINNED_ORBIT_DIGEST
 
 
 def test_orbit_telemetry():

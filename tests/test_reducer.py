@@ -1,18 +1,21 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from kimura4 import groups
-from kimura4.moves import FiberCache, apply_move, replay_trace, trace_is_valid
+from kimura4 import groups, reducer
+from kimura4.moves import (FiberCache, Move, TraceStep, apply_move,
+                            profile_fiber, replay_trace, trace_is_valid)
 from kimura4.reducer import (Budget, FuzzReport, find_bad_pairs, fuzz_reduce,
                              merge_columns, min_cross_k, pair_potential,
                              random_compatible_pair, reduce_hamming_3,
                              reduce_hamming_ge4, reduce_pair,
                              sample_fiber_member, strip_common)
-from kimura4.tables import Table, compatible, min_hamming_pair
+from kimura4.tables import (Table, column_mask, compatible,
+                            min_hamming_pair)
 
 T0_EX = Table.from_strings(["aa00", "0bb0", "c00c"])
 T1_EX = Table.from_strings(["0000", "cab0", "ab0c"])
@@ -337,3 +340,39 @@ def test_traces_match_pinned_digest():
     digest, cap_hits = _pinned_trace_digest()
     assert cap_hits > 0  # the pairs meet capped fibers
     assert digest == PINNED_TRACE_DIGEST
+
+
+def _unpruned_pinch(a, b):
+    # the quadratic pinch as it was before its skip test: every distinct
+    # pair of rows on each side builds its replacement fiber
+    n, m = a.n, column_mask(a.n)
+    k = min_cross_k(a.rows, b.rows, n)
+    for side, rows, other in ((0, a.rows, b.rows), (1, b.rows, a.rows)):
+        tried = set()
+        for u, v in itertools.combinations(rows, 2):
+            if (u, v) in tried or u == v:
+                continue
+            tried.add((u, v))
+            for repl in profile_fiber((u, v), n):
+                if repl != (u, v) and any(
+                        (((z := w ^ y) | z >> 1) & m).bit_count() < k
+                        for w in repl for y in other):
+                    return TraceStep(side, Move((u, v), repl, n))
+    return None
+
+
+def test_pinch_skip_matches_unpruned_scan():
+    rng = random.Random(13)
+    found = none = 0
+    for n in range(3, 10):
+        for _ in range(60):
+            t0, t1 = random_compatible_pair(n, rng.randint(3, 8), rng)
+            ra, rb = strip_common(t0.rows, t1.rows)
+            if len(ra) < 2:
+                continue
+            a, b = Table(ra, n), Table(rb, n)
+            step = reducer._quadratic_pinch(a, b)
+            assert step == _unpruned_pinch(a, b), (n, ra, rb)
+            found += step is not None
+            none += step is None
+    assert found > 200 and none > 10
