@@ -366,12 +366,17 @@ def _share_components(members: list[tuple[int, ...]], t: int) -> list[int]:
         return x
 
     if members and len(members[0]) - t >= 2:
-        owner: dict[tuple[int, ...], int] = {}
+        owner: dict[object, int] = {}
         for i, rows in enumerate(members):
-            for sub in set(itertools.combinations(rows, t)):
+            # the size-1 sub-multisets are the rows: key by them, not 1-tuples
+            subs = (set(rows) if t == 1
+                    else set(itertools.combinations(rows, t)))
+            for sub in subs:
                 j = owner.setdefault(sub, i)
                 if j != i:
-                    parent[find(i)] = find(j)
+                    a, b = find(i), find(j)
+                    if a != b:
+                        parent[a] = b
     return [find(i) for i in range(len(members))]
 
 
@@ -381,6 +386,8 @@ class OrbitSweep:
     fibers: int
     largest_fiber: int
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+    fibers_s: float = 0.0  # seconds enumerating fibers
+    components_s: float = 0.0  # seconds in the union-find
 
 
 def _orbit_sweep(orb: Orbits, t: int) -> OrbitSweep:
@@ -394,8 +401,12 @@ def _orbit_sweep(orb: Orbits, t: int) -> OrbitSweep:
     out = OrbitSweep(0, 0, 0, None)
     members = 0
     for rows, size in zip(orb.witnesses.tolist(), orb.sizes.tolist()):
+        t0 = time.perf_counter()
         fiber = moves.profile_fiber(rows, orb.n)
+        t1 = time.perf_counter()
         labels = _share_components(fiber, t)
+        out.fibers_s += t1 - t0
+        out.components_s += time.perf_counter() - t1
         components = len(set(labels))
         out.generators += size * (components - 1)
         out.fibers += size
@@ -569,6 +580,9 @@ class DegreeCensus:
     elapsed_s: float
     orbits: Optional[int]  # None where the spill kernel counted the degree
     largest_fiber: int
+    # seconds enumerating fibers and in the union-find (orbit route only)
+    fibers_s: Optional[float] = None
+    components_s: Optional[float] = None
 
 
 @dataclass
@@ -584,6 +598,9 @@ class CensusReport:
         return {r.degree: r.generators for r in self.rows}
 
     def to_json(self) -> dict:
+        def secs(x: Optional[float]) -> Optional[float]:
+            return None if x is None else round(x, 3)
+
         return {
             "n_leaves": self.n,
             "face": self.face,
@@ -594,7 +611,9 @@ class CensusReport:
                 {"degree": r.degree, "generators": r.generators,
                  "fibers": r.fibers, "multisets": r.multisets,
                  "elapsed_s": round(r.elapsed_s, 3),
-                 "orbits": r.orbits, "largest_fiber": r.largest_fiber}
+                 "orbits": r.orbits, "largest_fiber": r.largest_fiber,
+                 "fibers_s": secs(r.fibers_s),
+                 "components_s": secs(r.components_s)}
                 for r in self.rows
             ],
         }
@@ -605,7 +624,7 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
                    cache_dir: Optional[str],
                    progress: Optional[Callable[[str], None]]
                    ) -> DegreeCensus:
-    t0 = time.time()
+    t0 = time.perf_counter()
     v = len(flows)
     m_total = math.comb(v + d - 1, d)
     if m_total > member_budget and shards <= 0:
@@ -618,8 +637,9 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
         orb = next(o for o in layers if o.degree == d)
         sweep = _orbit_sweep(orb, 1)
         return DegreeCensus(d, sweep.generators, sweep.fibers, m_total,
-                            time.time() - t0, len(orb.sizes),
-                            sweep.largest_fiber)
+                            time.perf_counter() - t0, len(orb.sizes),
+                            sweep.largest_fiber, sweep.fibers_s,
+                            sweep.components_s)
     fibers = components = largest = 0
     base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
     with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
@@ -631,7 +651,7 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
             components += int(np.count_nonzero(roots))
             largest = max(largest, int(sizes.max()))
     return DegreeCensus(d, components - fibers, fibers, m_total,
-                        time.time() - t0, None, largest)
+                        time.perf_counter() - t0, None, largest)
 
 
 def minimal_generator_census(n: int, max_degree: int,
@@ -681,7 +701,12 @@ class ConnectivityResult:
     move_degree: int
     checked: list[int] = field(default_factory=list)
     witness: Optional[tuple[list[str], list[str]]] = None
-    orbits: dict[int, int] = field(default_factory=dict)  # per swept degree
+    # per swept degree: orbits, seconds in all, enumerating fibers and in
+    # the union-find
+    orbits: dict[int, int] = field(default_factory=dict)
+    elapsed_s: dict[int, float] = field(default_factory=dict)
+    fibers_s: dict[int, float] = field(default_factory=dict)
+    components_s: dict[int, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         obj = {
@@ -693,6 +718,9 @@ class ConnectivityResult:
             "checked_degrees": self.checked,
             "orbits": {str(d): k for d, k in self.orbits.items()},
         }
+        for key in ("elapsed_s", "fibers_s", "components_s"):
+            obj[key] = {str(d): round(x, 3)
+                        for d, x in getattr(self, key).items()}
         if self.witness:
             obj["witness"] = {"t0": self.witness[0], "t1": self.witness[1]}
         return obj
@@ -719,10 +747,14 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
         if d <= move_degree:
             res.checked.append(d)
             continue
+        t0 = time.perf_counter()
         groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
         orb = next(o for o in layers if o.degree == d)
         sweep = _orbit_sweep(orb, d - move_degree)
         res.orbits[d] = len(orb.sizes)
+        res.elapsed_s[d] = time.perf_counter() - t0
+        res.fibers_s[d] = sweep.fibers_s
+        res.components_s[d] = sweep.components_s
         res.checked.append(d)
         if progress:
             progress(f"degree {d}: "

@@ -8,6 +8,7 @@ distinct flows have distinct profiles, so every real move has degree >= 2.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -111,9 +112,14 @@ def profile_fiber(rows: Sequence[int], n: int,
     symbol) with a guard bit on top of each, so a flow fits when
     subtracting its cells leaves every guard bit set.  Rows are chosen in
     nondecreasing order, each level keeping the candidates that still fit,
-    and the last row is read off the remaining counts.  `cap` bounds the
-    number of members returned (None = exhaustive); exceeding it raises
-    FiberTooLarge so callers never mistake a truncation for the whole fiber.
+    and the last row is read off the remaining counts.  The top two bits of
+    a row hold its column-0 symbol, so in a member with sorted rows the
+    k-th row carries the k-th least column-0 symbol of the profile: a row
+    with a greater symbol would leave a lesser one that no later row can
+    take.  Each level therefore walks only the contiguous run of
+    candidates carrying its symbol.  `cap` bounds the number of members
+    returned (None = exhaustive); exceeding it raises FiberTooLarge so
+    callers never mistake a truncation for the whole fiber.
     For three or more rows a capped request first counts the ordered row
     tuples of the profile (`ordered_flow_tuples`): a multiset has at most
     s! orderings, so more than cap * s! tuples prove the fiber too large
@@ -158,8 +164,12 @@ def profile_fiber(rows: Sequence[int], n: int,
     pool = [((v << shift) | w, p + q) for v, x, p in _words(cells[:half])
             for w, q in tails.get(x, ())]
     row_of = {p: v for v, p in pool}
+    # the k-th row of every member carries the k-th least column-0 symbol
+    top = 2 * (n - 1)
+    runs = tuple((g << top, (g + 1) << top)
+                 for g in range(4) for _ in range(prof[g]))
     out: list[tuple[int, ...]] = []
-    _grow(out, pool, rem, (), s, guard, row_of, cap)
+    _grow(out, pool, rem, (), s, guard, row_of, cap, runs)
     return out
 
 
@@ -219,25 +229,35 @@ def _words(cols: list[list[tuple[int, int]]]) -> list[tuple[int, int, int]]:
 
 def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
           prefix: tuple[int, ...], left: int, guard: int,
-          row_of: dict[int, int], cap: Optional[int]) -> None:
+          row_of: dict[int, int], cap: Optional[int],
+          runs: tuple[tuple[int, int], ...]) -> None:
     """Append every completion of `prefix` by `left` rows to `out`.
 
     `cands` holds the (flow, cells) that fit the packed counts `rem`,
     ascending from the last row of `prefix`; `row_of` maps cells to flows.
+    The next row is drawn from the run [lo, hi) of flows that carry its
+    column-0 symbol, `runs[len(prefix)]`.
     """
+    lo, hi = runs[len(prefix)]
+    start = bisect.bisect_left(cands, (lo,))
     if left == 2:
-        for v, p in cands:
+        for v, p in itertools.islice(cands, start, None):
+            if v >= hi:
+                break
             w = row_of.get(rem - p)
             if w is not None and w >= v:
                 out.append(prefix + (v, w))
         if cap is not None and len(out) > cap:
             raise FiberTooLarge(len(out))
         return
-    for j, (v, p) in enumerate(cands):
+    for j in range(start, len(cands)):
+        v, p = cands[j]
+        if v >= hi:
+            break
         r = rem - p
         g = r | guard
         _grow(out, [c for c in cands[j:] if (g - c[1]) & guard == guard],
-              r, prefix + (v,), left - 1, guard, row_of, cap)
+              r, prefix + (v,), left - 1, guard, row_of, cap, runs)
 
 
 class FiberTooLarge(Exception):

@@ -56,9 +56,10 @@ def test_criterion_3_connectivity_n3():
 
 def test_criterion_3_connectivity_n4():
     t0 = time.time()
-    res = markov.connectivity_check(4, 5, 4)
+    res = markov.connectivity_check(4, 6, 4)
     assert res.ok
-    _line("3b", "every fiber connected: n=4, table degree <= 5, moves <= 4",
+    assert res.orbits == {5: 318, 6: 1373}
+    _line("3b", "every fiber connected: n=4, table degree <= 6, moves <= 4",
           t0)
 
 
@@ -96,8 +97,8 @@ def test_criterion_5_n6_face_censuses():
 
 @pytest.mark.skipif(os.environ.get("KIMURA_RUN_FACE_QUARTICS") != "1",
                     reason="quartic face censuses are an opt-in stretch "
-                           "(~1e9 multisets each, tens of seconds on the "
-                           "orbit route); set KIMURA_RUN_FACE_QUARTICS=1")
+                           "(~1e9 multisets each, about 15 s together on "
+                           "the orbit route); set KIMURA_RUN_FACE_QUARTICS=1")
 def test_criterion_5_stretch_face_quartics():
     t0 = time.time()
     # every quartic multiset within the budget: the orbit route

@@ -86,6 +86,9 @@ def test_census_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     got = {row["degree"]: row["generators"] for row in payload["degrees"]}
     assert got == {2: 0, 3: 16, 4: 18}
+    # three figures rounded to 3 places drift apart by 0.0015 at most
+    for row in payload["degrees"]:
+        assert row["fibers_s"] + row["components_s"] <= row["elapsed_s"] + 2e-3
 
 
 def test_census_cli_budget_exit_code(tmp_path):

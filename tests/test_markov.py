@@ -323,13 +323,29 @@ def test_orbit_telemetry():
     assert res.to_json()["orbits"] == {"5": 51, "6": 134, "7": 304}
 
 
+def test_stage_seconds_fit_in_each_degree():
+    rep = minimal_generator_census(3, 6)
+    for row in rep.rows:
+        assert row.fibers_s >= 0 and row.components_s >= 0
+        assert row.fibers_s + row.components_s <= row.elapsed_s
+    res = connectivity_check(3, 7, 4)
+    assert sorted(res.elapsed_s) == sorted(res.fibers_s) == \
+        sorted(res.components_s) == [5, 6, 7]
+    for d, elapsed in res.elapsed_s.items():
+        assert res.fibers_s[d] + res.components_s[d] <= elapsed
+    obj = res.to_json()
+    assert all(list(obj[key]) == ["5", "6", "7"]
+               for key in ("elapsed_s", "fibers_s", "components_s"))
+
+
 def test_census_report_reproducible():
     import json
 
     def snap():
         rep = minimal_generator_census(3, 4).to_json()
         for row in rep["degrees"]:
-            row.pop("elapsed_s")
+            for key in ("elapsed_s", "fibers_s", "components_s"):
+                row.pop(key)
         return json.dumps(rep, sort_keys=True)
 
     assert snap() == snap()

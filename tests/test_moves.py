@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from kimura4 import corpus, groups, moves
+from kimura4 import corpus, groups, markov, moves
 from kimura4.moves import (FiberCache, FiberTooLarge, Move, TraceStep,
                            apply_move, neighbors, ordered_flow_tuples,
                            profile_fiber, replay_trace, trace_is_valid)
@@ -74,6 +75,50 @@ def test_profile_fiber_matches_brute_force(n, s):
     for prof in profiles:
         members = brute[prof]
         assert profile_fiber(members[-1], n) == members
+
+
+@pytest.mark.parametrize("n,s", [(3, 5), (3, 6)])
+def test_profile_fiber_matches_brute_force_every_profile(n, s):
+    # every profile, not a sample
+    for members in _brute_fibers(n, s).values():
+        assert profile_fiber(members[0], n) == members
+
+
+# SHA-256 of the fibers of every orbit witness below, members in order,
+# computed when every level of the fiber search tried each candidate that
+# fit the counts.
+PINNED_FIBER_DIGEST = (
+    "1e41d9d03ffe2708edddd82de6f04064d9654081a7f06072c9b06b12bd9d2c23")
+
+
+def test_witness_fibers_match_pinned_digest():
+    digest = hashlib.sha256()
+    for n, max_degree in ((3, 7), (4, 5)):
+        layers = markov.orbit_layers(groups.flows_array(n), n)
+        for orb in itertools.islice(layers, max_degree):
+            for rows in orb.witnesses.tolist():
+                digest.update(repr(profile_fiber(rows, n)).encode())
+    assert digest.hexdigest() == PINNED_FIBER_DIGEST
+
+
+def test_fiber_search_walks_only_the_column0_run(monkeypatch):
+    grow = moves._grow
+    nodes = 0
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return grow(*args)
+
+    # the recursion resolves _grow through the module, so it is counted too
+    monkeypatch.setattr(moves, "_grow", counted)
+    orb = list(itertools.islice(
+        markov.orbit_layers(groups.flows_array(3), 3), 7))[-1]
+    members = sum(len(profile_fiber(rows, 3))
+                  for rows in orb.witnesses.tolist())
+    assert (len(orb.sizes), members) == (304, 505)
+    # 6,791 nodes; trying every candidate that fits the counts takes 52,703
+    assert nodes <= 8000
 
 
 def test_profile_fiber_cap_boundary():
