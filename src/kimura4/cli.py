@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import resource
 import sys
 import time
 from typing import Optional
@@ -40,6 +41,11 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     print(summary)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far (Linux reports KiB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def _face(args: argparse.Namespace) -> Optional[FaceSpec]:
@@ -98,14 +104,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     face = _face(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = markov.minimal_generator_census(
         args.leaves, args.max_degree, face,
         member_budget=args.member_budget,
         shards=args.shards,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr))
     payload = report.to_json()
-    payload["elapsed_s"] = round(time.time() - t0, 3)
+    payload["elapsed_s"] = round(time.perf_counter() - t0, 3)
+    payload["peak_rss_mb"] = _peak_rss_mb()
     counts = ", ".join(f"d{r.degree}:{r.generators}" for r in report.rows)
     _emit(args, payload, f"census n={args.leaves} [{counts}]"
           + ("" if report.complete else f"  (partial: {report.note})"))
@@ -121,7 +128,9 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
     except groups.ProfileKeyTooWide as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
-    _emit(args, res.to_json(),
+    payload = res.to_json()
+    payload["peak_rss_mb"] = _peak_rss_mb()
+    _emit(args, payload,
           f"fibers of degree <= {args.max_table_degree} at n={args.leaves}: "
           + ("all connected" if res.ok else "DISCONNECTED fiber found")
           + f" (moves of degree <= {args.move_degree})")
@@ -195,7 +204,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     jobs = [(args.leaves, args.max_table_degree, c, args.seed + 1000 * i,
              args.budget)
             for i, c in enumerate(per) if c]
-    t0 = time.time()
+    t0 = time.perf_counter()
     if len(jobs) > 1:
         with multiprocessing.Pool(len(jobs)) as pool:
             parts = pool.map(_fuzz_chunk, jobs)
@@ -203,7 +212,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         parts = [_fuzz_chunk(jobs[0])]
     rep = reducer.FuzzReport.merged(parts)
     payload = rep.to_json()
-    payload["elapsed_s"] = round(time.time() - t0, 3)
+    payload["elapsed_s"] = round(time.perf_counter() - t0, 3)
     _emit(args, payload,
           f"fuzz: {rep.reduced}/{rep.total} reduced, {rep.replay_valid} "
           f"replay-valid, {sum(rep.fallbacks.values())} fallback(s)")

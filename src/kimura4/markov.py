@@ -20,11 +20,13 @@ Statist. 1998).  The orbit route builds one witness per orbit of the face's
 stabilizer, degree by degree.  A candidate's canonical form comes from each
 column's least key under each coset of the stabilizer's translations and
 one parity class per coset, never from every symmetry.  The route
-enumerates one fiber per orbit with `moves.profile_fiber` and weights its
-components by the orbit size.  Every run checks that orbit size times fiber
-size sums to all C(V+d-1, d) multisets.  Connectivity and every census
-degree of at most `member_budget` multisets take this route, and the
-orbit sizes of a degree sum to its Hilbert value (`hilbert.hilbert_values`).
+enumerates the witnesses' fibers in chunks, all of a chunk at once as
+arrays (`moves.witness_fibers`), labels their components with the min-label
+flood and weights each fiber's components by its orbit size.  Every run
+checks that orbit size times fiber size sums to all C(V+d-1, d) multisets.
+Connectivity and every census degree of at most `member_budget` multisets
+take this route, and the orbit sizes of a degree sum to its Hilbert value
+(`hilbert.hilbert_values`).
 
 Past the budget, a census degree goes through the sharded spill kernel when
 shards are asked for: a stream of keyed multisets is split by a hash of the
@@ -151,7 +153,8 @@ def census_reference(n: int, max_degree: int,
 # ---------------------------------------------------------------------------
 
 # Elements of the (column, coset, candidate) arrays that the canonical form
-# builds at a time; this bounds its working set.
+# builds at a time, and of the pool tests of a chunk of witnesses whose
+# fibers the sweep enumerates together; this bounds their working sets.
 ORBIT_CHUNK = 1 << 17
 
 
@@ -351,35 +354,6 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
         yield Orbits(n, d, v, flows[rows], order // stab)
 
 
-def _share_components(members: list[tuple[int, ...]], t: int) -> list[int]:
-    """Component label of each member when members sharing t rows are joined.
-
-    Two members of a fiber share t rows iff one move of degree <= d-t joins
-    them; no move has degree < 2, so with d - t < 2 each member is alone.
-    """
-    parent = list(range(len(members)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if members and len(members[0]) - t >= 2:
-        owner: dict[object, int] = {}
-        for i, rows in enumerate(members):
-            # the size-1 sub-multisets are the rows: key by them, not 1-tuples
-            subs = (set(rows) if t == 1
-                    else set(itertools.combinations(rows, t)))
-            for sub in subs:
-                j = owner.setdefault(sub, i)
-                if j != i:
-                    a, b = find(i), find(j)
-                    if a != b:
-                        parent[a] = b
-    return [find(i) for i in range(len(members))]
-
-
 @dataclass
 class OrbitSweep:
     generators: int  # sum over fibers of components - 1
@@ -387,34 +361,75 @@ class OrbitSweep:
     largest_fiber: int
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     fibers_s: float = 0.0  # seconds enumerating fibers
-    components_s: float = 0.0  # seconds in the union-find
+    components_s: float = 0.0  # seconds labelling components
+    flood_rounds: int = 0  # label-flood rounds, most in one witness chunk
 
 
-def _orbit_sweep(orb: Orbits, t: int) -> OrbitSweep:
+def _share_labels(wid: np.ndarray, members: np.ndarray, t: int, v: int
+                  ) -> tuple[np.ndarray, int]:
+    """Component labels of members joined when they share t rows, and the
+    rounds the label flood took.
+
+    `wid` numbers each member's fiber, ascending.  Nodes are (fiber,
+    size-t sub-multiset of rows), so only members of one fiber meet.  Two
+    members of a fiber share t rows iff one move of degree <= d-t joins
+    them; no move has degree < 2, so with d - t < 2 each member is alone.
+    A member's label is the least index of its component.
+    """
+    m, d = members.shape
+    labels = np.arange(m)
+    if d - t < 2:
+        return labels, 0
+    row_bits = max(1, (v - 1).bit_length())
+    if ((int(wid[-1]) + 1) << (t * row_bits)).bit_length() > 63:
+        raise ProfileKeyTooWide(
+            f"degree {d}: a {t}-row node key needs more than 63 bits")
+    keys = np.empty((math.comb(d, t), m), dtype=np.int64)
+    for s, cols in enumerate(itertools.combinations(range(d), t)):
+        keys[s] = wid
+        for c in cols:
+            keys[s] = (keys[s] << row_bits) | members[:, c]
+    uniq, keys = np.unique(keys, return_inverse=True)
+    return _min_label_flood(labels, list(keys.reshape(-1, m)), len(uniq))
+
+
+def _orbit_sweep(orb: Orbits, flows: np.ndarray, t: int) -> OrbitSweep:
     """Components of every fiber of the degree, one fiber per orbit.
 
-    Members sharing t rows are joined.  The witness is the least member and
-    one from another component of the first split fiber met, if any.
-    Raises AssertionError unless the orbits' fibers, each counted with its
-    orbit size, hold every degree-d multiset exactly once.
+    `flows` are the face's flows.  Witnesses go in chunks of
+    ORBIT_CHUNK // (V * d), so that one pool test per row of a chunk stays
+    within ORBIT_CHUNK elements.  Each chunk's fibers are enumerated at
+    once (`moves.witness_fibers`) and their members sharing t rows are
+    joined (`_share_labels`).  The witness is the least member of the first
+    split fiber and its first member in another component, if any.  Raises
+    AssertionError unless the orbits' fibers, each counted with its orbit
+    size, hold every degree-d multiset exactly once.
     """
     out = OrbitSweep(0, 0, 0, None)
     members = 0
-    for rows, size in zip(orb.witnesses.tolist(), orb.sizes.tolist()):
+    step = max(1, ORBIT_CHUNK // (len(flows) * orb.degree))
+    for lo in range(0, len(orb.sizes), step):
+        sizes = orb.sizes[lo:lo + step]
         t0 = time.perf_counter()
-        fiber = moves.profile_fiber(rows, orb.n)
+        wid, fiber = moves.witness_fibers(orb.witnesses[lo:lo + step], flows,
+                                          orb.n)
         t1 = time.perf_counter()
-        labels = _share_components(fiber, t)
+        labels, rounds = _share_labels(wid, fiber, t, len(flows))
         out.fibers_s += t1 - t0
         out.components_s += time.perf_counter() - t1
-        components = len(set(labels))
-        out.generators += size * (components - 1)
-        out.fibers += size
-        out.largest_fiber = max(out.largest_fiber, len(fiber))
-        members += size * len(fiber)
-        if out.witness is None and components > 1:
-            b = next(i for i, lab in enumerate(labels) if lab != labels[0])
-            out.witness = (fiber[0], fiber[b])
+        out.flood_rounds = max(out.flood_rounds, rounds)
+        fiber_size = np.bincount(wid, minlength=len(sizes))
+        split = np.bincount(wid[labels == np.arange(len(labels))],
+                            minlength=len(sizes)) - 1
+        out.generators += int(sizes @ split)
+        out.fibers += int(sizes.sum())
+        out.largest_fiber = max(out.largest_fiber, int(fiber_size.max()))
+        members += int(sizes @ fiber_size)
+        if out.witness is None and split.any():
+            a = int(np.searchsorted(wid, np.argmax(split > 0)))
+            b = a + int(np.argmax(labels[a:] != labels[a]))
+            out.witness = (tuple(flows[fiber[a]].tolist()),
+                           tuple(flows[fiber[b]].tolist()))
     expected = math.comb(orb.n_flows + orb.degree - 1, orb.degree)
     if members != expected:
         raise AssertionError(
@@ -516,15 +531,16 @@ def _buckets(v: int, d: int, key1: np.ndarray, n_buckets: int,
 
 
 def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
-                     n_nodes: int) -> np.ndarray:
+                     n_nodes: int) -> tuple[np.ndarray, int]:
     """Union members that share a hashed node, by min-label flooding.
 
     `incidences` holds, per slot, the node id each member touches.  After
     convergence two members have equal labels iff they are connected in
-    the member-node bipartite graph.
+    the member-node bipartite graph.  Returns the labels and the rounds
+    taken.
     """
     node_lab = np.empty(n_nodes, dtype=labels.dtype)
-    for _ in range(FLOOD_MAX_ITER):
+    for rounds in range(1, FLOOD_MAX_ITER + 1):
         node_lab.fill(np.iinfo(labels.dtype).max)
         for inc in incidences:
             np.minimum.at(node_lab, inc, labels)
@@ -532,7 +548,7 @@ def _min_label_flood(labels: np.ndarray, incidences: list[np.ndarray],
         for inc in incidences:
             new = np.minimum(new, node_lab[inc])
         if np.array_equal(new, labels):
-            return labels
+            return labels, rounds
         labels = new
     raise RuntimeError("label flood did not converge")
 
@@ -542,28 +558,18 @@ def _components(keys: np.ndarray, rows: np.ndarray, v: int
     """Fibers and components of one bucket of degree-d members.
 
     Sorted by profile key, each fiber is a run whose id is a cumsum over
-    run boundaries.  Members of a fiber are one proper move apart iff they
-    share a row, so each row of a member, tagged with its fiber id, is a
-    node the flood unions through.  Returns two masks over the sorted
+    run boundaries, and members are labelled as the orbit sweep labels
+    them (`_share_labels`, t = 1).  Returns two masks over the sorted
     members: the first member of each fiber and the least member of each
     component.
     """
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], rows[order]
-    m, d = rows.shape
+    m = len(keys)
     starts = np.empty(m, dtype=bool)
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    labels = np.arange(m, dtype=np.int64)
-    # no move has degree < 2, so at d = 2 every member is isolated
-    if d > 2:
-        row_bits = max(1, (v - 1).bit_length())
-        nodes = ((np.cumsum(starts) - 1) << row_bits) | rows.T
-        uniq, codes = np.unique(nodes, return_inverse=True)
-        codes = codes.reshape(nodes.shape).astype(
-            np.int32 if len(uniq) < 2**31 else np.int64)
-        del nodes
-        labels = _min_label_flood(labels, list(codes), len(uniq))
+    labels, _ = _share_labels(np.cumsum(starts) - 1, rows, 1, v)
     return starts, labels == np.arange(m)
 
 
@@ -580,9 +586,13 @@ class DegreeCensus:
     elapsed_s: float
     orbits: Optional[int]  # None where the spill kernel counted the degree
     largest_fiber: int
-    # seconds enumerating fibers and in the union-find (orbit route only)
+    # orbit route only: seconds building the orbit layer, enumerating
+    # fibers and labelling components, and the most rounds the label flood
+    # took on one witness chunk
+    orbits_s: Optional[float] = None
     fibers_s: Optional[float] = None
     components_s: Optional[float] = None
+    flood_rounds: Optional[int] = None
 
 
 @dataclass
@@ -612,8 +622,10 @@ class CensusReport:
                  "fibers": r.fibers, "multisets": r.multisets,
                  "elapsed_s": round(r.elapsed_s, 3),
                  "orbits": r.orbits, "largest_fiber": r.largest_fiber,
+                 "orbits_s": secs(r.orbits_s),
                  "fibers_s": secs(r.fibers_s),
-                 "components_s": secs(r.components_s)}
+                 "components_s": secs(r.components_s),
+                 "flood_rounds": r.flood_rounds}
                 for r in self.rows
             ],
         }
@@ -634,12 +646,14 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
     key1 = groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
     # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
     if m_total <= member_budget:
+        t1 = time.perf_counter()
         orb = next(o for o in layers if o.degree == d)
-        sweep = _orbit_sweep(orb, 1)
+        orbits_s = time.perf_counter() - t1
+        sweep = _orbit_sweep(orb, flows, 1)
         return DegreeCensus(d, sweep.generators, sweep.fibers, m_total,
                             time.perf_counter() - t0, len(orb.sizes),
-                            sweep.largest_fiber, sweep.fibers_s,
-                            sweep.components_s)
+                            sweep.largest_fiber, orbits_s, sweep.fibers_s,
+                            sweep.components_s, sweep.flood_rounds)
     fibers = components = largest = 0
     base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
     with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
@@ -701,12 +715,14 @@ class ConnectivityResult:
     move_degree: int
     checked: list[int] = field(default_factory=list)
     witness: Optional[tuple[list[str], list[str]]] = None
-    # per swept degree: orbits, seconds in all, enumerating fibers and in
-    # the union-find
+    # per swept degree: orbits, seconds in all, building the orbit layer,
+    # enumerating fibers and labelling components, and flood rounds
     orbits: dict[int, int] = field(default_factory=dict)
     elapsed_s: dict[int, float] = field(default_factory=dict)
+    orbits_s: dict[int, float] = field(default_factory=dict)
     fibers_s: dict[int, float] = field(default_factory=dict)
     components_s: dict[int, float] = field(default_factory=dict)
+    flood_rounds: dict[int, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         obj = {
@@ -717,8 +733,10 @@ class ConnectivityResult:
             "move_degree": self.move_degree,
             "checked_degrees": self.checked,
             "orbits": {str(d): k for d, k in self.orbits.items()},
+            "flood_rounds": {str(d): k
+                             for d, k in self.flood_rounds.items()},
         }
-        for key in ("elapsed_s", "fibers_s", "components_s"):
+        for key in ("elapsed_s", "orbits_s", "fibers_s", "components_s"):
             obj[key] = {str(d): round(x, 3)
                         for d, x in getattr(self, key).items()}
         if self.witness:
@@ -749,12 +767,15 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
             continue
         t0 = time.perf_counter()
         groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
+        t1 = time.perf_counter()
         orb = next(o for o in layers if o.degree == d)
-        sweep = _orbit_sweep(orb, d - move_degree)
+        res.orbits_s[d] = time.perf_counter() - t1
+        sweep = _orbit_sweep(orb, flows, d - move_degree)
         res.orbits[d] = len(orb.sizes)
         res.elapsed_s[d] = time.perf_counter() - t0
         res.fibers_s[d] = sweep.fibers_s
         res.components_s[d] = sweep.components_s
+        res.flood_rounds[d] = sweep.flood_rounds
         res.checked.append(d)
         if progress:
             progress(f"degree {d}: "

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import groups
 from .tables import Table, profile_of_rows
 
@@ -258,6 +260,83 @@ def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
         g = r | guard
         _grow(out, [c for c in cands[j:] if (g - c[1]) & guard == guard],
               r, prefix + (v,), left - 1, guard, row_of, cap, runs)
+
+
+def _cell_mask(cells: np.ndarray) -> np.ndarray:
+    """Each row of a (m, 4n) bool array of (column, symbol) cells as one
+    uint64 bit mask (n <= 16)."""
+    packed = np.zeros((len(cells), 8), dtype=np.uint8)
+    packed[:, :(cells.shape[1] + 7) // 8] = np.packbits(
+        cells, axis=1, bitorder="little")
+    return packed.view("<u8").ravel()
+
+
+def witness_fibers(witnesses: np.ndarray, flows: np.ndarray, n: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The fibers of many row multisets at once, as arrays.
+
+    `witnesses` (k, d) holds multisets of packed flows and `flows` the
+    sorted flows that their fibers' rows are drawn from.  Returns the
+    witness of each member and the members as rows of indices into
+    `flows`; each witness's members are contiguous and in `profile_fiber`'s
+    order.  The search is `_grow`'s, run level by level over every state of
+    every witness: rows ascend, row j comes from the run of flows carrying
+    the j-th least column-0 symbol, and the last row is read off the
+    remaining counts.  A state's candidates are a slice of its witness's
+    pool, the flows whose every symbol occurs in the profile; a candidate
+    fits when each of its (column, symbol) cells still has a count, one
+    test on bit masks of the cells.  Candidates are tested in blocks of
+    about k * v, the size of the pool test, which bounds the working set.
+    """
+    k, d = witnesses.shape
+    v = len(flows)
+    sym = groups.column_symbols(flows, n)
+    # a flow's (column, symbol) cells, and its counts and mask over them
+    cells = sym + 4 * np.arange(n, dtype=np.uint8)
+    onehot = np.zeros((v, 4 * n), dtype=np.uint8)
+    onehot[np.arange(v)[:, None], cells] = 1
+    bits = _cell_mask(onehot > 0)
+    rows = np.searchsorted(flows, witnesses)
+    counts = onehot[rows].sum(axis=1, dtype=np.min_scalar_type(d))
+    mask = _cell_mask(counts > 0)
+    # pool: (witness, flow) pairs in ascending order; bounds[w, g] is where
+    # witness w's flows of column-0 symbol g start in it
+    pool_w, pool_f = np.nonzero((bits & ~mask[:, None]) == 0)
+    pool_f = pool_f.astype(np.int32)
+    sym0_start = np.searchsorted(sym[:, 0], np.arange(5))
+    bounds = np.searchsorted(pool_w * v + pool_f,
+                             np.arange(k)[:, None] * v + sym0_start)
+    level_sym = np.sort(sym[rows, 0], axis=1)
+    wid, at = np.arange(k, dtype=np.int32), np.zeros(k, dtype=np.int32)
+    prefix = np.empty((k, 0), dtype=np.int32)
+    for j in range(d - 1):
+        # each state's candidates: its run, from its last row on
+        g = level_sym[wid, j]
+        start = np.maximum(bounds[wid, g], at)
+        cnt = np.maximum(bounds[wid, g + 1] - start, 0)
+        end = np.cumsum(cnt)
+        shift = (start - end + cnt).astype(np.int32)
+        cuts = [0, *np.searchsorted(end, range(k * v, end[-1], k * v),
+                                    side="right"), len(cnt)]
+        kept = []
+        for lo, hi in itertools.pairwise(cuts):
+            parent = np.repeat(np.arange(lo, hi, dtype=np.int32), cnt[lo:hi])
+            at = np.arange(end[lo] - cnt[lo], end[hi - 1],
+                           dtype=np.int32) + shift[parent]
+            f = pool_f[at]
+            fit = (bits[f] & ~mask[parent]) == 0
+            kept.append((parent[fit], at[fit], f[fit]))
+        parent, at, f = (np.concatenate(x) for x in zip(*kept))
+        wid, prefix = wid[parent], np.column_stack([prefix[parent], f])
+        counts = counts[parent] - onehot[f]
+        mask = _cell_mask(counts > 0)
+    # one count is left per column, so the mask is the last row's cells
+    by_bits = np.argsort(bits).astype(np.int32)
+    last = by_bits[np.searchsorted(bits, mask, sorter=by_bits)]
+    if d > 1:
+        keep = last >= prefix[:, -1]
+        wid, prefix, last = wid[keep], prefix[keep], last[keep]
+    return wid, np.column_stack([prefix, last])
 
 
 class FiberTooLarge(Exception):

@@ -1,18 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines and timings.  All value tolerances are exact.  The long optional
-quartic face censuses are opt-in via KIMURA_RUN_FACE_QUARTICS=1; the n=5
-quartic census (seconds, through the orbit route) runs by default and can be
-skipped with KIMURA_SKIP_STRETCH=1.
+lines and timings.  All value tolerances are exact.  The stretch censuses,
+the n=5 quartics and the two n=6 face quartics, run through the orbit route
+in seconds and are part of every run.
 """
 
 import math
-import os
 import random
 import time
-
-import pytest
 
 from kimura4 import corpus, groups, hilbert, markov
 from kimura4.reducer import fuzz_reduce, random_compatible_pair
@@ -71,8 +67,6 @@ def test_criterion_4_n5_census():
     _line("4", "n=5 census: 12960 quadrics, 2560 cubics", t0)
 
 
-@pytest.mark.skipif(os.environ.get("KIMURA_SKIP_STRETCH") == "1",
-                    reason="stretch census skipped by request")
 def test_criterion_4_stretch_n5_quartics():
     t0 = time.time()
     # all 1.8e8 quartic multisets within the budget: the orbit route
@@ -95,10 +89,6 @@ def test_criterion_5_n6_face_censuses():
     _line("5", "n=6 faces: P2 36840/2304, P3 48600/2176", t0)
 
 
-@pytest.mark.skipif(os.environ.get("KIMURA_RUN_FACE_QUARTICS") != "1",
-                    reason="quartic face censuses are an opt-in stretch "
-                           "(~1e9 multisets each, about 15 s together on "
-                           "the orbit route); set KIMURA_RUN_FACE_QUARTICS=1")
 def test_criterion_5_stretch_face_quartics():
     t0 = time.time()
     # every quartic multiset within the budget: the orbit route

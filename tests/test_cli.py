@@ -86,9 +86,13 @@ def test_census_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     got = {row["degree"]: row["generators"] for row in payload["degrees"]}
     assert got == {2: 0, 3: 16, 4: 18}
-    # three figures rounded to 3 places drift apart by 0.0015 at most
+    # four figures rounded to 3 places drift apart by 0.002 at most
     for row in payload["degrees"]:
-        assert row["fibers_s"] + row["components_s"] <= row["elapsed_s"] + 2e-3
+        stages = row["orbits_s"] + row["fibers_s"] + row["components_s"]
+        assert stages <= row["elapsed_s"] + 3e-3
+    assert [row["flood_rounds"] > 0 for row in payload["degrees"]] == \
+        [False, True, True]
+    assert payload["peak_rss_mb"] > 0
 
 
 def test_census_cli_budget_exit_code(tmp_path):
@@ -119,9 +123,14 @@ def test_connectivity_cli_key_width_exit_code(capsys):
     assert "stopped: degree 5" in capsys.readouterr().out
 
 
-def test_connectivity_cli(capsys):
+def test_connectivity_cli(tmp_path, capsys):
+    out = tmp_path / "connectivity.json"
     assert main(["connectivity", "--leaves", "3",
-                 "--max-table-degree", "5"]) == 0
+                 "--max-table-degree", "5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["orbits"] == {"5": 51}
+    assert payload["flood_rounds"]["5"] > 0 and payload["peak_rss_mb"] > 0
+    assert set(payload["orbits_s"]) == {"5"}
     assert main(["connectivity", "--leaves", "3", "--max-table-degree", "4",
                  "--move-degree", "2"]) == 1
 

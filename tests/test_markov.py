@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from kimura4 import groups, markov
+from kimura4 import groups, markov, moves
 from kimura4.hilbert import hilbert_values
 from kimura4.markov import (census_reference, connectivity_check,
                             fiber_components, fibers,
@@ -326,16 +326,55 @@ def test_orbit_telemetry():
 def test_stage_seconds_fit_in_each_degree():
     rep = minimal_generator_census(3, 6)
     for row in rep.rows:
-        assert row.fibers_s >= 0 and row.components_s >= 0
-        assert row.fibers_s + row.components_s <= row.elapsed_s
+        stages = (row.orbits_s, row.fibers_s, row.components_s)
+        assert min(stages) >= 0 and sum(stages) <= row.elapsed_s
+        # no move has degree < 2: the quadrics need no flood
+        assert (row.degree > 2) <= row.flood_rounds < markov.FLOOD_MAX_ITER
     res = connectivity_check(3, 7, 4)
-    assert sorted(res.elapsed_s) == sorted(res.fibers_s) == \
-        sorted(res.components_s) == [5, 6, 7]
+    keys = ("elapsed_s", "orbits_s", "fibers_s", "components_s",
+            "flood_rounds")
+    assert all(sorted(getattr(res, key)) == [5, 6, 7] for key in keys)
     for d, elapsed in res.elapsed_s.items():
-        assert res.fibers_s[d] + res.components_s[d] <= elapsed
+        assert (res.orbits_s[d] + res.fibers_s[d] + res.components_s[d]
+                <= elapsed)
+        assert 1 <= res.flood_rounds[d] < markov.FLOOD_MAX_ITER
     obj = res.to_json()
-    assert all(list(obj[key]) == ["5", "6", "7"]
-               for key in ("elapsed_s", "fibers_s", "components_s"))
+    assert all(list(obj[key]) == ["5", "6", "7"] for key in keys)
+
+
+def test_sweep_makes_no_per_witness_fiber_call(monkeypatch):
+    # the sweep enumerates each chunk of witnesses at once; one
+    # profile_fiber call per witness would be 489 calls here
+    fiber, calls = moves.profile_fiber, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fiber(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "profile_fiber", counted)
+    assert connectivity_check(3, 7, 4).ok
+    assert calls == 0
+
+
+def test_sweep_in_one_witness_chunks(monkeypatch):
+    # chunks of one witness each give the same counts, fibers and witness
+    def sweep():
+        rep = minimal_generator_census(3, 6)
+        res = connectivity_check(3, 4, 2)
+        return (_rows(rep), [r.orbits for r in rep.rows], res.witness,
+                connectivity_check(3, 7, 4).ok)
+
+    whole = sweep()
+    monkeypatch.setattr(markov, "ORBIT_CHUNK", 1)
+    assert sweep() == whole
+
+
+def test_node_key_width_is_checked():
+    # 16 shared rows of 10 bits each do not fit a 63-bit node key
+    with pytest.raises(groups.ProfileKeyTooWide, match="63 bits"):
+        markov._share_labels(np.zeros(1, dtype=np.int32),
+                             np.zeros((1, 20), dtype=np.int32), 16, 1024)
 
 
 def test_census_report_reproducible():
@@ -344,7 +383,7 @@ def test_census_report_reproducible():
     def snap():
         rep = minimal_generator_census(3, 4).to_json()
         for row in rep["degrees"]:
-            for key in ("elapsed_s", "fibers_s", "components_s"):
+            for key in ("elapsed_s", "orbits_s", "fibers_s", "components_s"):
                 row.pop(key)
         return json.dumps(rep, sort_keys=True)
 

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kimura4 import corpus, groups, markov, moves
@@ -119,6 +120,44 @@ def test_fiber_search_walks_only_the_column0_run(monkeypatch):
     assert (len(orb.sizes), members) == (304, 505)
     # 6,791 nodes; trying every candidate that fits the counts takes 52,703
     assert nodes <= 8000
+
+
+def _grouped(wid, rows, k):
+    """Members (tuples of packed flows) per witness, from the arrays."""
+    out = [[] for _ in range(k)]
+    for w, member in zip(wid.tolist(), rows.tolist()):
+        out[w].append(tuple(member))
+    return out
+
+
+@pytest.mark.parametrize("n, face, max_degree", [
+    (3, None, 7), (4, None, 6), (5, None, 4),
+    (6, groups.FACE_P2, 3), (6, groups.FACE_P3, 3),
+    (4, groups.FaceSpec.parse("2:b,3:c"), 5),
+    (4, groups.FaceSpec.parse("1:a,2:b,3:c"), 5)])
+def test_batch_fibers_match_profile_fiber(n, face, max_degree):
+    flows = groups.flows_array(n, face)
+    for orb in itertools.islice(markov.orbit_layers(flows, n), max_degree):
+        wid, members = moves.witness_fibers(orb.witnesses, flows, n)
+        # each witness's members are contiguous, in profile_fiber's order
+        assert np.all(np.diff(wid) >= 0)
+        assert _grouped(wid, flows[members], len(orb.sizes)) == \
+            [profile_fiber(rows, n) for rows in orb.witnesses.tolist()], \
+            orb.degree
+
+
+def test_batch_fibers_one_witness_at_a_time():
+    # one witness tests its candidates in blocks of V: many blocks per level;
+    # on the face with column 0 fixed one state's run can fill a block
+    fixed = groups.FaceSpec.parse("1:a,1:b,1:c")
+    for n, face, max_degree in ((3, None, 7), (4, None, 5), (4, fixed, 5)):
+        flows = groups.flows_array(n, face)
+        for orb in itertools.islice(markov.orbit_layers(flows, n),
+                                    max_degree):
+            for rows in orb.witnesses:
+                _, members = moves.witness_fibers(rows[None], flows, n)
+                assert list(map(tuple, flows[members].tolist())) == \
+                    profile_fiber(rows.tolist(), n), (n, str(face))
 
 
 def test_profile_fiber_cap_boundary():

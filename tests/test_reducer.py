@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from kimura4 import groups, reducer
+from kimura4 import groups, markov, moves, reducer
 from kimura4.moves import (FiberCache, Move, TraceStep, apply_move,
                             profile_fiber, replay_trace, trace_is_valid)
 from kimura4.reducer import (Budget, FuzzReport, find_bad_pairs, fuzz_reduce,
@@ -278,6 +278,31 @@ def test_reduce_every_member_of_small_fibers():
                 pairs += 1
     assert pairs == 65688
     assert searched > 1000
+
+
+def test_reduce_every_member_of_witness_fibers():
+    # every member of every orbit witness's fiber reduces to the fiber's
+    # least member with a replay-valid trace and no fallback: 941 pairs at
+    # n=3 to degree 8, 39837 at n=4 to degree 6, 16492 at n=5 to degree 4
+    for n, max_degree, expected in ((3, 8, 941), (4, 6, 39837),
+                                    (5, 4, 16492)):
+        flows = groups.flows_array(n)
+        pairs = 0
+        for orb in itertools.islice(markov.orbit_layers(flows, n),
+                                    max_degree):
+            wid, members = moves.witness_fibers(orb.witnesses, flows, n)
+            least = {}
+            for w, rows in zip(wid.tolist(), flows[members].tolist()):
+                t1 = Table(tuple(rows), n)
+                t0 = least.setdefault(w, t1)
+                if t0 is t1:
+                    continue
+                res = reduce_pair(t0, t1)
+                assert res.success, (t0, t1, res.message)
+                assert not res.diagnostics.fallback_cases, (t0, t1)
+                assert trace_is_valid(t0, t1, res.steps)
+                pairs += 1
+        assert pairs == expected, n
 
 
 def test_sample_fiber_member_matches_profile():
