@@ -146,6 +146,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = rec.to_json()
+    payload["peak_rss_mb"] = _peak_rss_mb()
     summary = (f"n={args.leaves} dim {rec.dim}: H(0..{args.max_dilation}) "
                f"computed")
     if rec.h_coeffs:

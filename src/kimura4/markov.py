@@ -185,11 +185,14 @@ def _label_images(labels: Sequence[int], maps: np.ndarray) -> np.ndarray:
     return (bits[:, None, :] << maps[None, :, :]).sum(axis=2)
 
 
-def _xor_ways(cols: list[list[int]]) -> list[int]:
-    """Choices of one map per column by the XOR of their translations."""
-    ways = [1, 0, 0, 0]
+def _xor_ways(cols: list[list[int]]) -> list[list[int]]:
+    """Choices of one map per column by the XOR of their translations, for
+    every prefix of the columns: entry i counts the choices for cols[:i],
+    entry i[x] those whose translations XOR to x."""
+    ways = [[1, 0, 0, 0]]
     for col in cols:
-        ways = [sum(ways[x ^ (m & 3)] for m in col) for x in range(4)]
+        ways.append([sum(ways[-1][x ^ (m & 3)] for m in col)
+                     for x in range(4)])
     return ways
 
 
@@ -221,12 +224,15 @@ def _cosets(labels: Sequence[int]) -> tuple[list[list[list[int]]], int]:
                        for cols, left in partial
                        for j, k in enumerate(kinds) if left[j] and reach[i][k]]
         for cols, _ in partial:
-            if count := _xor_ways(cols)[0]:
+            before = _xor_ways(cols)
+            if count := before[-1][0]:
                 # a map is used where the other columns can cancel its
-                # translation
-                cosets.append([[m for m in col
-                                if _xor_ways(cols[:i] + cols[i + 1:])[m & 3]]
-                               for i, col in enumerate(cols)])
+                # translation: the columns before it XOR to some y and
+                # those after it to y ^ its translation
+                after = _xor_ways(cols[::-1])[::-1]
+                cosets.append([[m for m in col if any(
+                    before[i][y] and after[i + 1][y ^ (m & 3)]
+                    for y in range(4))] for i, col in enumerate(cols)])
                 choices += count
     return cosets, choices * math.prod(math.factorial(c) for c in need)
 
@@ -249,11 +255,12 @@ def _canonical(codes: np.ndarray, least_table: np.ndarray,
                reached_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical forms of profiles and the symmetries that reach them.
 
-    `codes` (m, n) holds each column's count code.  A map sends a column to
-    a key: the transformed face label, then the transformed counts.  The
-    tables give, per (column, coset) and code, the least key over the
-    coset's maps of the column and the translations reaching it, as a bit
-    mask.
+    `codes` (m, n) holds the rank of each column's count code among the
+    codes its degree can reach.  A map sends a column to a key: the
+    transformed face label, then the transformed counts.  The tables
+    (`_degree_tables`) give, per (column, coset) and code rank, the least
+    key over the coset's maps of the column and the translations reaching
+    it, as a bit mask.
 
     Per coset, column i's least key m_i is reached by the translations
     u_i ^ S_i, where S_i is the column's stabilizer among them.  With W the
@@ -297,6 +304,69 @@ def _canonical(codes: np.ndarray, least_table: np.ndarray,
     return canon, reach
 
 
+def _degree_tables(label_image: np.ndarray, coset_maps: np.ndarray, d: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables `_canonical` reads for degree d.
+
+    A column's counts are one code, the count of g in digit g of base d+1.
+    The counts sum to d, so only C(d+3, 3) of the (d+1)^4 codes occur;
+    `rank` numbers them in ascending order.  Map m sends code x of column i
+    to the key label_image[i, m] * (d+1)^4 + (x with the count of g moved
+    to digit m(g)), which is below 16 * (d+1)^4.  `coset_maps` (n, cosets,
+    4) holds each coset's maps of each column, repeated to fill 4 slots.
+    `least` and `reached` (n, cosets, C(d+3, 3)) give per reachable code
+    the least key over the maps and the translations reaching it as a bit
+    mask; repeated maps change neither.
+    """
+    base, cells = d + 1, (d + 1) ** 4
+    dtype = np.int32 if 16 * cells < 2**31 else np.int64
+    high = np.indices((base,) * 3, dtype=dtype).reshape(3, -1)[::-1]
+    digit = np.concatenate([d - high.sum(axis=0, keepdims=True, dtype=dtype),
+                            high])
+    digit = digit[:, digit[0] >= 0]  # ascending codes, digits summing to d
+    code = (digit * base ** np.arange(4, dtype=dtype)[:, None]).sum(axis=0)
+    rank = np.zeros(cells, dtype=np.int16 if len(code) <= 2**15 else np.int32)
+    rank[code] = np.arange(len(code))
+    maps = _affine_maps()
+    moved = sum(digit[g] * base ** maps[:, g:g + 1].astype(dtype)
+                for g in range(4))
+    column = np.arange(len(label_image))[:, None, None]
+    keys = ((label_image[column, coset_maps] * cells).astype(dtype)[..., None]
+            + moved[coset_maps])
+    least = keys.min(axis=2)
+    hit = (keys == least[:, :, None]).astype(np.uint8)
+    reached = np.bitwise_or.reduce(
+        hit << (coset_maps & 3).astype(np.uint8)[..., None], axis=2)
+    return rank, least, reached
+
+
+def _first_of_forms(canon: np.ndarray, bits: int) -> np.ndarray:
+    """The first candidate of each distinct canonical form, in ascending
+    order of the forms, as a stable `np.lexsort` over the columns gives.
+
+    The key columns are below 2**bits and the parity column below 4.
+    Packed most significant first into int64 words of at most 63 bits, the
+    columns compare as the rows do, so `np.lexsort` over the words orders
+    the rows in fewer passes.
+    """
+    words, used = [], 63
+    for j, width in enumerate([bits] * (canon.shape[1] - 1) + [2]):
+        if used + width > 63:
+            words.append(canon[:, j].astype(np.int64))
+            used = width
+        else:
+            words[-1] <<= width
+            words[-1] |= canon[:, j]
+            used += width
+    perm = np.lexsort(words[::-1])
+    new = np.zeros(len(perm), dtype=bool)
+    new[0] = True
+    for word in words:
+        word = word[perm]
+        new[1:] |= word[1:] != word[:-1]
+    return perm[new]
+
+
 def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     """Fiber orbits of degree 1, 2, ... of the face whose flows these are.
 
@@ -313,39 +383,22 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     sym = groups.column_symbols(flows, n).astype(np.int64)
     labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
     cosets, order = _cosets(labels)
-    maps = _affine_maps()
-    label_image = _label_images(labels, maps)
+    label_image = _label_images(labels, _affine_maps())
+    # (column, coset, slot): the coset's maps of the column, repeated to 4
+    coset_maps = np.array([[(col * 4)[:4] for col in cols]
+                           for cols in cosets]).transpose(1, 0, 2)
     rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
     for d in itertools.count(1):
-        # a column's counts as one code, count of g in digit g of base d+1;
-        # map m sends code x of column i to key_table[i, m, x], which is
-        # below 16 * cells
-        base, cells = d + 1, (d + 1) ** 4
-        dtype = np.int32 if 16 * cells < 2**31 else np.int64
-        digit = (np.arange(cells, dtype=dtype)
-                 // base ** np.arange(4, dtype=dtype)[:, None] % base)
-        moved = sum(digit[g] * base ** maps[:, g:g + 1].astype(dtype)
-                    for g in range(4))
-        key_table = (label_image * cells).astype(dtype)[:, :, None] + moved
-        least = np.empty((n, len(cosets), cells), dtype=dtype)
-        reached = np.empty((n, len(cosets), cells), dtype=np.uint8)
-        for g, cols in enumerate(cosets):
-            for i, col in enumerate(cols):
-                keys = key_table[i, col]
-                least[i, g] = low = keys.min(axis=0)
-                reached[i, g] = ((keys == low)
-                                 << (np.array(col)[:, None] & 3)).sum(axis=0)
-        # candidate r * v + f is witness r plus flow f
-        weight = (base ** sym).astype(dtype)
+        rank, least, reached = _degree_tables(label_image, coset_maps, d)
+        dtype = least.dtype
+        # candidate r * v + f is witness r plus flow f; each column's count
+        # code, then its rank among the reachable codes
+        weight = ((d + 1) ** sym).astype(dtype)
         prefix = weight[rows].sum(axis=1, dtype=dtype)
-        codes = (prefix[:, None, :] + weight).reshape(-1, n)
-        canon, reach = _canonical(codes, least, reached)
-        # sorted distinct canonical forms, each at its first candidate
-        perm = np.lexsort(canon.T[::-1])
-        canon = canon[perm]
-        new = np.append(True, np.any(canon[1:] != canon[:-1], axis=1))
-        canon, first = canon[new], perm[new]
-        stab = reach[first]
+        canon, reach = _canonical(
+            rank[(prefix[:, None, :] + weight).reshape(-1, n)], least, reached)
+        first = _first_of_forms(canon, int(least.max()).bit_length())
+        canon, stab = canon[first], reach[first]
         run = np.ones(len(canon), dtype=np.int64)
         for j in range(1, n):
             run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)

@@ -145,6 +145,7 @@ def test_hilbert_cli(tmp_path):
     assert rec["regularity_bound"] == 1 + rec["h_degree"]
     assert len(rec["layer_s"]) == 10 and all(t >= 0 for t in rec["layer_s"])
     assert rec["orbits"][:4] == [1, 3, 8, 23] and len(rec["orbits"]) == 10
+    assert rec["peak_rss_mb"] > 0
 
 
 def test_hilbert_cli_key_width_exit_code(capsys):

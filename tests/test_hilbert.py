@@ -121,6 +121,22 @@ def test_polytope_dimensions():
             pts - pts[0]), (n, str(face))
 
 
+N4_H = [1, 51, 966, 7498, 22164, 26244, 12050, 1758, 51, 1]
+
+
+def test_n4_h_numerator_pinned():
+    # h of the n=4 claw tree (dim 12) from H(0..12); its degree gives the
+    # generator bound 1 + deg h = 10
+    assert polytope_dimension(4) == 12
+    values = expand_series(N4_H, 13, 12)
+    assert values[11:] == [2944571968, 7249257041]
+    assert h_numerator(values, 12) == N4_H
+    rec = hilbert.HilbertRecord(4, "", 12, values, h_coeffs=N4_H)
+    assert regularity_bound(rec) == 10
+    # the default max_layer refuses dilation 7 (H(7) = 33252352)
+    assert hilbert_values(4, None, 8, max_layer=10**9) == values[:9]
+
+
 def test_n3_record_full():
     rec = build_record(3, None, 12)
     assert rec.dim == 9

@@ -292,6 +292,68 @@ def test_direct_cosets_match_pair_listing():
         assert markov._cosets(labels) == _pair_cosets(labels), (n, str(face))
 
 
+@pytest.mark.parametrize("n, face", [
+    (3, None), (4, groups.FaceSpec.parse("2:b,3:c"))])
+def test_degree_tables_match_full_key_table(n, face, monkeypatch):
+    # the tables orbit_layers builds, against the least key and reached
+    # translations over each coset's maps on the full (d+1)^4 key table
+    built = []
+
+    def recording(label_image, coset_maps, d):
+        out = degree_tables(label_image, coset_maps, d)
+        built.append(out)
+        return out
+
+    degree_tables = markov._degree_tables
+    monkeypatch.setattr(markov, "_degree_tables", recording)
+    flows = groups.flows_array(n, face)
+    list(itertools.islice(markov.orbit_layers(flows, n), 4))
+    sym = groups.column_symbols(flows, n)
+    labels = [int(np.bitwise_or.reduce(1 << sym[:, i].astype(np.int64)))
+              for i in range(n)]
+    cosets, _ = markov._cosets(labels)
+    maps = markov._affine_maps()
+    img = markov._label_images(labels, maps)
+    for d, (rank, least, reached) in enumerate(built, 1):
+        base, cells = d + 1, (d + 1) ** 4
+        digits = [[x // base ** g % base for g in range(4)]
+                  for x in range(cells)]
+        key = [[[int(img[i, m]) * cells
+                 + sum(c * base ** int(maps[m, g])
+                       for g, c in enumerate(digits[x]))
+                 for x in range(cells)] for m in range(24)]
+               for i in range(n)]
+        codes = [x for x in range(cells) if sum(digits[x]) == d]
+        assert rank[codes].tolist() == list(range(math.comb(d + 3, 3)))
+        assert least.shape == reached.shape == (n, len(cosets), len(codes))
+        assert least.dtype == np.int32  # keys below 16 * (d+1)^4 < 2^31
+        for g, cols in enumerate(cosets):
+            for i, col in enumerate(cols):
+                for x in codes:
+                    low = min(key[i][m][x] for m in col)
+                    mask = sum(1 << (m & 3) for m in col
+                               if key[i][m][x] == low)
+                    assert least[i, g, rank[x]] == low, (d, g, i, x)
+                    assert reached[i, g, rank[x]] == mask, (d, g, i, x)
+
+
+@pytest.mark.parametrize("n, bits", [
+    (3, 5), (3, 18), (2, 31), (6, 12), (4, 40)])
+def test_first_of_forms_matches_lexsort(n, bits):
+    # packed words (one word, one word, a word of 64 bits unless split,
+    # two words, a word per key column) against a stable np.lexsort of the
+    # rows and a neighbour test
+    rng = np.random.default_rng(bits)
+    values = np.array([0, rng.integers(1, 2**bits - 1), 2**bits - 1])
+    keys = values[rng.integers(0, 3, size=(40, n))]  # rows share prefixes
+    canon = np.concatenate([keys, rng.integers(0, 4, size=(40, 1))], axis=1)
+    canon = canon[rng.integers(0, 40, size=500)]  # repeated forms
+    perm = np.lexsort(canon.T[::-1])
+    rows = canon[perm]
+    new = np.append(True, np.any(rows[1:] != rows[:-1], axis=1))
+    assert (markov._first_of_forms(canon, bits) == perm[new]).all()
+
+
 # SHA-256 of the orbit witnesses and sizes below, computed when cosets came
 # from listing H's pairs and canonical forms were deduplicated by
 # np.unique(axis=0); any change of orbit order or content changes it.
