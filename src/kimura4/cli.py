@@ -216,7 +216,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     payload["elapsed_s"] = round(time.perf_counter() - t0, 3)
     _emit(args, payload,
           f"fuzz: {rep.reduced}/{rep.total} reduced, {rep.replay_valid} "
-          f"replay-valid, {sum(rep.fallbacks.values())} fallback(s)")
+          f"replay-valid, {sum(rep.fallbacks.values())} strategy gap(s)")
     ok = rep.reduced == rep.total and rep.replay_valid == rep.total
     return EXIT_OK if ok else EXIT_BUDGET
 

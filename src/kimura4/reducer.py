@@ -5,14 +5,14 @@ recording every move.  The engine follows the induction leaves -> degree ->
 Hamming distance: common rows are factored out, small tables are exchanged
 in one move, a quadratic pinch pulls the closest rows together, and
 otherwise the step depends on the minimal cross distance k.  At k >= 4 and
-k = 3 (the abc string) a lower-potential search runs until k drops; at
-k = 2 a search goes for a shared row, and failing that the bad pairs in two
-agreement columns are cleared so the pair merges into one with n-1 columns
-and recurses.  Every search is one best-first search over the legal moves
-of `moves.neighbors`; a strategy that dead-ends falls back to a bounded
-lower-potential search, and the failing case label is logged rather than
-trusted silently.  Every returned trace is replay-validated; an invalid
-trace is never returned.
+k = 3 (the abc string) a search runs until the pair potential drops; at
+k = 2 it runs until the tables share one more row.  Each step is one
+best-first search over the legal moves of `moves.neighbors`, and all of a
+reduction's searches spend one node budget.  A search whose frontier
+empties is a strategy gap: its case label is logged and the reduction ends
+unreduced.  Every returned trace is replay-validated; an invalid trace is
+never returned.  Column merging with trace lifting (`merge_columns`) is a
+library utility that reduce_pair does not call.
 
 Reduction itself is deterministic; randomness only enters the fuzz-pair
 samplers, which draw everything from one seeded generator.
@@ -30,8 +30,7 @@ from typing import Callable, Optional, Sequence
 from . import groups
 from .moves import (FiberCache, Move, TraceStep, apply_move, neighbors,
                     profile_fiber, replay_trace, trace_is_valid)
-from .tables import (Table, column_mask, compatible, hamming,
-                     min_hamming_pair)
+from .tables import Table, column_mask, compatible
 
 
 class BudgetExhausted(Exception):
@@ -59,6 +58,7 @@ class Budget:
 @dataclass
 class Diagnostics:
     strategy_cases: Counter = field(default_factory=Counter)
+    # strategy gaps by case label; each one ended its reduction unreduced
     fallback_cases: Counter = field(default_factory=Counter)
     nodes_spent: int = 0
     fiber_cache_hits: int = 0
@@ -158,14 +158,6 @@ def find_bad_pairs(t: Table, p: Optional[int] = None,
         if x and y:
             out.append(BadPair(v, x, y))
     return out
-
-
-def _bad_count(rows: Sequence[int], n: int, p: int, q: int) -> int:
-    c = 0
-    for v in rows:
-        if groups.entry(v, p, n) and groups.entry(v, q, n):
-            c += 1
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -337,65 +329,20 @@ def reduce_hamming_3(t0: Table, t1: Table, budget: Budget,
     return steps
 
 
-def reduce_hamming_2(t0: Table, t1: Table, budget: Budget, cache: FiberCache,
-                     diag: Diagnostics, max_degree: int,
-                     depth: int) -> list[TraceStep]:
-    """Distance-2 engine: reach a shared row, or clear the bad pairs in two
-    agreement columns, merge them, and recurse on n-1 columns."""
+def reduce_hamming_2(t0: Table, t1: Table, budget: Budget,
+                     cache: FiberCache,
+                     max_degree: int = 4) -> list[TraceStep]:
+    """Reduce a pair at minimal distance 2 by reaching a shared row: one
+    search until the stripped degree drops."""
     n = t0.n
-    d0, k0 = pair_potential(t0, t1)
-
-    # phase A: go straight for a shared row, on at most 1500 of the
-    # budget's nodes
-    phase_a = Budget(min(budget.nodes, 1500))
-    allowed = phase_a.nodes
-    try:
-        steps = pair_search(
-            t0, t1,
-            goal=lambda s: len(strip_common(s[0], s[1])[0]) < d0,
-            score=lambda s: _score_potential(s, n),
-            budget=phase_a, max_degree=max_degree, cache=cache)
-    finally:
-        budget.nodes -= allowed - max(phase_a.nodes, 0)
-    if steps is not None:
-        return steps
-
-    if n < 4 or depth > n:
+    d0 = len(strip_common(t0.rows, t1.rows)[0])
+    steps = pair_search(
+        t0, t1,
+        goal=lambda s: len(strip_common(s[0], s[1])[0]) < d0,
+        score=lambda s: _score_potential(s, n),
+        budget=budget, max_degree=max_degree, cache=cache)
+    if steps is None:
         raise StrategyGap("k2:no-shared-row")
-
-    # phase B: clear bad pairs in two agreement columns of a minimal pair
-    r0, r1, _ = min_hamming_pair(t0, t1)
-    _, _, agree = hamming(r0, r1, n)
-    if len(agree) < 2:
-        raise StrategyGap("k2:no-agreement-columns")
-    p, q = min(itertools.combinations(agree, 2),
-               key=lambda pq: _bad_count(t0.rows + t1.rows, n, *pq))
-
-    def badness(s: SearchState) -> int:
-        return _bad_count(s[0], n, p, q) + _bad_count(s[1], n, p, q)
-
-    steps = []
-    a, b = t0, t1
-    if badness((a.rows, b.rows)):
-        found = pair_search(
-            a, b,
-            goal=lambda s: (badness(s) == 0
-                            or _potential_below(s, n, (d0, k0))),
-            score=lambda s: (badness(s),) + _score_potential(s, n),
-            budget=budget, max_degree=max_degree, cache=cache)
-        if found is None:
-            raise StrategyGap("k2:bad-pairs-stuck")
-        steps.extend(found)
-        a, b = replay_trace(a, b, found, max_degree)
-        if _potential_below((a.rows, b.rows), n, (d0, k0)):
-            return steps  # progress made outright; outer loop continues
-
-    merged = merge_columns(a, b, p, q)
-    sub = reduce_pair(merged.t0, merged.t1, max_degree=max_degree,
-                      _depth=depth + 1, _diag=diag, _budget=budget)
-    if not sub.success:
-        raise StrategyGap("k2:merged-pair-unreduced")
-    steps.extend(merged.lift(sub.steps))
     return steps
 
 
@@ -569,33 +516,22 @@ def merge_columns(t0: Table, t1: Table, p: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
-                node_budget: int = 10_000,
-                _depth: int = 0,
-                _diag: Optional[Diagnostics] = None,
-                _budget: Optional[Budget] = None) -> ReduceResult:
+                node_budget: int = 10_000) -> ReduceResult:
     """Produce a validated trace of degree-<=max_degree moves making the
     tables equal.
 
-    Returns success=False with a partial trace and diagnostics when the
-    budget runs out; the partial trace is still legal move by move.  A
-    nested call (a merged pair) shares its caller's budget and diagnostics;
-    the outermost call records the nodes spent.
+    Every search of the reduction spends one budget of node_budget nodes.
+    Returns success=False with a partial trace and diagnostics when that
+    budget runs out or a strategy's search frontier empties; the partial
+    trace is still legal move by move.
     """
     if max_degree < 2:
         raise ValueError("moves need degree >= 2")
     if not compatible(t0, t1):
         raise ValueError("reduce_pair needs compatible tables")
-    diag = _diag if _diag is not None else Diagnostics()
-    budget = _budget if _budget is not None else Budget(node_budget)
+    diag = Diagnostics()
+    budget = Budget(node_budget)
     cache = FiberCache()
-
-    def settle() -> None:
-        diag.fiber_cache_hits += cache.hits
-        diag.fiber_cache_misses += cache.misses
-        diag.fiber_cap_hits += cache.cap_hits
-        if _budget is None:
-            diag.nodes_spent += node_budget - max(budget.nodes, 0)
-
     steps: list[TraceStep] = []
     a, b = t0, t1
 
@@ -609,6 +545,7 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
             steps.append(st)
 
     guard = 0
+    message = ""
     try:
         while True:
             guard += 1
@@ -626,33 +563,28 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 apply_steps([pinch])
                 continue
             k = min_cross_k(ra, rb, a.n)
-            try:
-                if k >= 4:
-                    diag.strategy_cases["ge4"] += 1
-                    new_steps = reduce_hamming_ge4(sa, sb, budget, cache,
-                                                   max_degree)
-                elif k == 3:
-                    diag.strategy_cases["abc"] += 1
-                    new_steps = reduce_hamming_3(sa, sb, budget, cache,
-                                                 max_degree)
-                else:
-                    diag.strategy_cases["k2"] += 1
-                    new_steps = reduce_hamming_2(sa, sb, budget, cache, diag,
-                                                 max_degree, _depth)
-            except StrategyGap as gap:
-                diag.fallback_cases[gap.label] += 1
-                found = _lower_potential(sa, sb, budget, cache, max_degree)
-                if found is None:
-                    raise BudgetExhausted(
-                        f"strategy gap {gap.label} and fallback frontier "
-                        "emptied") from gap
-                new_steps = found
-            apply_steps(new_steps)
+            if k >= 4:
+                diag.strategy_cases["ge4"] += 1
+                strategy = reduce_hamming_ge4
+            elif k == 3:
+                diag.strategy_cases["abc"] += 1
+                strategy = reduce_hamming_3
+            else:
+                diag.strategy_cases["k2"] += 1
+                strategy = reduce_hamming_2
+            apply_steps(strategy(sa, sb, budget, cache, max_degree))
+    except StrategyGap as gap:
+        diag.fallback_cases[gap.label] += 1
+        message = f"strategy gap {gap.label}: search frontier emptied"
     except BudgetExhausted as exc:
-        settle()
-        return ReduceResult(steps, False, diag, str(exc))
-    settle()
-    if _depth == 0 and not trace_is_valid(t0, t1, steps, max_degree):
+        message = str(exc)
+    diag.fiber_cache_hits = cache.hits
+    diag.fiber_cache_misses = cache.misses
+    diag.fiber_cap_hits = cache.cap_hits
+    diag.nodes_spent = node_budget - max(budget.nodes, 0)
+    if message:
+        return ReduceResult(steps, False, diag, message)
+    if not trace_is_valid(t0, t1, steps, max_degree):
         raise AssertionError("produced an invalid trace; refusing to return it")
     return ReduceResult(steps, True, diag)
 

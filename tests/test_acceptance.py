@@ -146,13 +146,9 @@ def test_criterion_8_reducer_fuzz_1000():
     rep = fuzz_reduce(7, 6, 1000, seed=20260809)
     assert rep.reduced == 1000, rep.failures[:3]
     assert rep.replay_valid == 1000
-    fallbacks = sum(rep.fallbacks.values())
-    # strategy gaps that the fallback search closed are reported, not failed
-    detail = (f"1000/1000 reduced and replay-validated; "
-              f"{fallbacks} fallback(s)")
-    if fallbacks:
-        detail += f" via {dict(rep.fallbacks)} (transcription-gap report)"
-    _line("8", detail, t0)
+    # a strategy gap ends its reduction, so every reduced pair had none
+    _line("8", f"1000/1000 reduced and replay-validated; "
+          f"{sum(rep.fallbacks.values())} strategy gap(s)", t0)
 
 
 def test_criterion_9_invariant_suites():

@@ -238,8 +238,8 @@ def test_budget_exhaustion_returns_partial_not_invalid():
 
 
 def test_nodes_spent_counts_search_within_budget():
-    # phase A of the distance-2 search used to run on a private budget
-    # that was never charged back, so searching pairs reported 0
+    # every search of a reduction spends its one budget, so a pair that
+    # searches reports the nodes it expanded, and no more than the budget
     rng = random.Random(8)
     searched = 0
     for _ in range(40):
@@ -257,6 +257,54 @@ def test_nodes_spent_counts_search_within_budget():
             capped = reduce_pair(t0, t1, node_budget=budget)
             assert 0 < capped.diagnostics.nodes_spent <= budget
     assert searched
+
+
+def _first_k2_pair():
+    # the first pair of an n=8, degree-8 sampler whose reduction runs the
+    # distance-2 search; its first search is that one
+    rng = random.Random(8)
+    for _ in range(40):
+        t0, t1 = random_compatible_pair(8, 8, rng)
+        cases = reduce_pair(t0, t1).diagnostics.strategy_cases
+        if cases["k2"]:
+            assert set(cases) == {"k2"}
+            return t0, t1
+    pytest.fail("no distance-2 search in 40 pairs")
+
+
+def test_long_search_spends_the_shared_budget(monkeypatch):
+    # a search that needs more than 1500 nodes draws them from the
+    # reduction's one budget and the pair still reduces
+    t0, t1 = _first_k2_pair()
+    search = reducer.pair_search
+
+    def costly_search(*args, budget, **kwargs):
+        budget.spend(1600)
+        return search(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(reducer, "pair_search", costly_search)
+    res = reduce_pair(t0, t1)
+    assert res.success, res.message
+    assert 1600 <= res.diagnostics.nodes_spent <= 10_000
+    assert trace_is_valid(t0, t1, res.steps)
+
+
+def test_strategy_gap_ends_reduction_after_one_search(monkeypatch):
+    # an emptied frontier ends the reduction: no second search, no merge
+    t0, t1 = _first_k2_pair()
+    calls = []
+
+    def empty_search(*args, **kwargs):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(reducer, "pair_search", empty_search)
+    res = reduce_pair(t0, t1)
+    assert len(calls) == 1
+    assert not res.success and "k2:no-shared-row" in res.message
+    assert res.diagnostics.fallback_cases == {"k2:no-shared-row": 1}
+    a, b = replay_trace(t0, t1, res.steps)
+    assert compatible(a, b) and a != b
 
 
 def test_reduce_every_member_of_small_fibers():
@@ -365,6 +413,32 @@ def test_traces_match_pinned_digest():
     digest, cap_hits = _pinned_trace_digest()
     assert cap_hits > 0  # the pairs meet capped fibers
     assert digest == PINNED_TRACE_DIGEST
+
+
+# SHA-256 of the traces of the first 30 seeded n=9 pairs whose reduction
+# runs the distance-2 search, computed while that search still had a
+# 1500-node sub-budget, a merge-and-recurse phase and a fallback search.
+PINNED_K2_TRACE_DIGEST = (
+    "fef16c4313588330ae3dadbe8913166cf49857c4df6882522ae54c194e14da05")
+
+
+def test_k2_traces_match_pinned_digest():
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    taken = searches = 0
+    for _ in range(300):
+        t0, t1 = random_compatible_pair(9, rng.randint(6, 9), rng)
+        res = reduce_pair(t0, t1)
+        assert res.success
+        if not res.diagnostics.strategy_cases["k2"]:
+            continue
+        taken += 1
+        searches += res.diagnostics.strategy_cases["k2"]
+        digest.update(json.dumps([s.to_json() for s in res.steps]).encode())
+        if taken == 30:
+            break
+    assert (taken, searches) == (30, 37)
+    assert digest.hexdigest() == PINNED_K2_TRACE_DIGEST
 
 
 def _unpruned_pinch(a, b):
