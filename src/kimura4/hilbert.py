@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -121,33 +122,39 @@ def h_numerator(values: Sequence[int], dim: int) -> list[int]:
 
 def fit_ehrhart(values: Sequence[int], dim: int) -> list[Fraction]:
     """Monomial coefficients (ascending) of the degree-<=dim polynomial
-    through H(0..), verified against every provided value exactly."""
+    through H(0..), verified against every provided value exactly.
+
+    The Newton forward differences N_j of H(0..dim) are integers, and
+    C(t, j) = sum_p s(j, p) t^p / j! with s the signed Stirling numbers of
+    the first kind.  Over the common denominator dim! the p-th coefficient
+    is therefore the integer sum_j N_j s(j, p) dim!/j!, and every value is
+    checked by integer Horner on those numerators.
+    """
     if len(values) < dim + 1:
         raise ValueError(f"need at least {dim + 1} values to fit degree {dim}")
-    # Newton forward differences give the binomial-basis coordinates.
-    diffs = [Fraction(v) for v in values[:dim + 1]]
+    diffs = [operator.index(v) for v in values[:dim + 1]]
     newton = [diffs[0]]
     for _ in range(dim):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         newton.append(diffs[0])
-    # expand sum_j newton[j] * C(t, j) into monomials
-    coeffs = [Fraction(0)] * (dim + 1)
-    basis = [Fraction(1)]  # C(t, 0) = 1
-    for j in range(dim + 1):
-        for p, c in enumerate(basis):
-            coeffs[p] += newton[j] * c
-        # C(t, j+1) = C(t, j) * (t - j) / (j + 1)
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for p, c in enumerate(basis):
-            nxt[p + 1] += c / (j + 1)
-            nxt[p] -= c * j / (j + 1)
-        basis = nxt
-    poly = coeffs
+    denom = math.factorial(dim)
+    nums = [0] * (dim + 1)
+    stirling = [1]  # s(j, 0..j), from s(0, 0) = 1
+    for j, nj in enumerate(newton):
+        scale = nj * (denom // math.factorial(j))
+        for p, s in enumerate(stirling):
+            nums[p] += scale * s
+        # s(j+1, p) = s(j, p-1) - j s(j, p)
+        stirling = [(stirling[p - 1] if p else 0)
+                    - (j * stirling[p] if p <= j else 0) for p in range(j + 2)]
     for k, v in enumerate(values):
-        if eval_poly(poly, k) != v:
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * k + c
+        if acc != operator.index(v) * denom:
             raise ValueError(
                 f"values are not polynomial of degree {dim}: mismatch at k={k}")
-    return poly
+    return [Fraction(c, denom) for c in nums]
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -356,7 +357,9 @@ class FiberCache:
     `hits` counts lookups answered from the table, `misses` fibers built
     and stored, `cap_hits` lookups whose fiber exceeded the request's cap
     (proved by `profile_fiber`'s count, built, or stored; FiberTooLarge is
-    raised each way and nothing is stored).
+    raised each way and nothing is stored).  `builds` and `build_s` count
+    and time the `profile_fiber` calls of lookups not answered from the
+    table, whether they return or raise FiberTooLarge.
     """
 
     def __init__(self):
@@ -364,6 +367,8 @@ class FiberCache:
         self.hits = 0
         self.misses = 0
         self.cap_hits = 0
+        self.builds = 0
+        self.build_s = 0.0
 
     def fiber_for(self, rows: Sequence[int], n: int,
                   cap: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -375,11 +380,15 @@ class FiberCache:
                 raise FiberTooLarge(len(hit))
             self.hits += 1
             return hit
+        self.builds += 1
+        t = time.perf_counter()
         try:
             members = profile_fiber(rows, n, cap=cap)
         except FiberTooLarge:
             self.cap_hits += 1
             raise
+        finally:
+            self.build_s += time.perf_counter() - t
         self.misses += 1
         if len(self._data) < FIBER_CACHE_ENTRIES:
             self._data[key] = members

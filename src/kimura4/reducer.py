@@ -10,9 +10,11 @@ k = 2 it runs until the tables share one more row.  Each step is one
 best-first search over the legal moves of `moves.neighbors`, and all of a
 reduction's searches spend one node budget.  A search whose frontier
 empties is a strategy gap: its case label is logged and the reduction ends
-unreduced.  Every returned trace is replay-validated; an invalid trace is
-never returned.  Column merging with trace lifting (`merge_columns`) is a
-library utility that reduce_pair does not call.
+unreduced.  A search scores each child once, from its parent's per-row
+nearest distances (`NearestRows`).  Every returned trace is
+replay-validated; an invalid trace is never returned.  Column merging with
+trace lifting (`merge_columns`) is a library utility that reduce_pair does
+not call.
 
 Reduction itself is deterministic; randomness only enters the fuzz-pair
 samplers, which draw everything from one seeded generator.
@@ -23,9 +25,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import groups
 from .moves import (FiberCache, Move, TraceStep, apply_move, neighbors,
@@ -47,7 +50,12 @@ class StrategyGap(Exception):
 
 @dataclass
 class Budget:
+    """The node budget a reduction's searches share; it also tallies the
+    searches' calls and seconds."""
+
     nodes: int
+    searches: int = 0
+    search_s: float = 0.0
 
     def spend(self, k: int = 1) -> None:
         self.nodes -= k
@@ -64,6 +72,11 @@ class Diagnostics:
     fiber_cache_hits: int = 0
     fiber_cache_misses: int = 0
     fiber_cap_hits: int = 0
+    # "<routine>_calls" and "<routine>_s", timed per call, of the routines
+    # "pinch" (the quadratic pinch), "pair_search" and "fiber_build" (the
+    # replacement-fiber builds of FiberCache lookups not answered from its
+    # table); reduce_pair fills it
+    routines: dict = field(default_factory=dict)
 
     def search_counts(self) -> dict[str, int]:
         """Nodes expanded and replacement-fiber cache counts."""
@@ -77,6 +90,7 @@ class Diagnostics:
             "strategy_cases": dict(self.strategy_cases),
             "fallback_cases": dict(self.fallback_cases),
             **self.search_counts(),
+            "routines": dict(self.routines),
         }
 
 
@@ -170,29 +184,112 @@ BEAM = 64  # children of each expanded state kept on the frontier
 SearchState = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def pair_search(a: Table, b: Table, *,
-                goal: Callable[[SearchState], bool],
-                score: Callable[[SearchState], tuple],
-                budget: Budget,
+class NearestRows:
+    """Each side-0 row's least Hamming distance to side 1, for the states of
+    one search, updated child by child.
+
+    The distances are kept per side-1 tuple: `to_side1[rb]` maps every row
+    scanned against rb to its least distance there.  A side-0 child keeps
+    side 1, so it looks its kept rows up and scans only the <= 4 rows it
+    inserts.  A side-1 child keeps side 0: each side-0 row's distance
+    becomes the least of its parent's and its distances to the inserted
+    rows, except that a row whose minimum a removed row may have held, and
+    no inserted row reaches, is rescanned against the new side 1.  Those
+    row-to-row distances are memoised per side-0 tuple, one column per
+    side-1 row.  A side-1 child's distances are stored only when it joins
+    the frontier (`keep`).
+    """
+
+    def __init__(self, ra: tuple[int, ...], rb: tuple[int, ...], n: int):
+        self.mask = column_mask(n)
+        self.start = _nearest(ra, rb, n)
+        self.to_side1: dict[tuple[int, ...], dict[int, int]] = {
+            rb: dict(zip(ra, self.start))}
+        self.columns: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+        self._state: Optional[SearchState] = None
+        self._old: list[int] = []
+
+    def child(self, state: SearchState, side: int, move: Move,
+              rows: tuple[int, ...]) -> list[int]:
+        """The least distances of a child's side-0 rows, in row order: the
+        child replaces side `side` of `state` by `rows` through `move`."""
+        ra, rb = state
+        m = self.mask
+        if side == 0:
+            near = self.to_side1[rb]
+            for x in move.inserted:
+                if x not in near:
+                    near[x] = min([(((z := x ^ y) | z >> 1) & m).bit_count()
+                                   for y in rb])
+            return list(map(near.__getitem__, rows))
+        if state is not self._state:
+            self._state = state
+            self._old = list(map(self.to_side1[rb].__getitem__, ra))
+        cols = self.columns.setdefault(ra, {})
+
+        def column(y: int) -> tuple[int, ...]:
+            c = cols.get(y)
+            if c is None:
+                c = cols[y] = tuple([(((z := x ^ y) | z >> 1) & m).bit_count()
+                                     for x in ra])
+            return c
+
+        inserted = map(min, *map(column, move.inserted))
+        removed = map(min, *map(column, move.removed))
+        out = []
+        for j, (old, ins, rem) in enumerate(zip(self._old, inserted, removed)):
+            if ins <= old:
+                out.append(ins)
+            elif rem > old:  # a kept row still holds the minimum
+                out.append(old)
+            else:
+                out.append(min([column(y)[j] for y in rows]))
+        return out
+
+    def keep(self, state: SearchState, dists: Sequence[int]) -> None:
+        """Store the distances of a state that joins the frontier."""
+        self.to_side1.setdefault(state[1], {}).update(zip(state[0], dists))
+
+
+def pair_search(a: Table, b: Table, *, below: int, budget: Budget,
                 max_degree: int = 4,
                 cache: Optional[FiberCache] = None
                 ) -> Optional[list[TraceStep]]:
     """Best-first search over pair states; returns the step path to the
     first goal state, or None when the frontier empties.
 
-    Raises BudgetExhausted when the shared budget runs out.  A state's
-    children are the `moves.neighbors` of either side, moves of degree
-    <= max_degree over fibers of at most FIBER_CAP members; the best BEAM
-    of them join the frontier.
+    The tables must share no row.  A goal state's least cross Hamming
+    distance is below `below`: 1 asks for a shared row (distance 0), the
+    start's least distance for a lower one or a shared row.  Other states
+    share no row and are ranked by (degree, least, summed side-0 row
+    distance).  Raises BudgetExhausted when the shared budget runs out,
+    one node per expanded state.  A state's children are the
+    `moves.neighbors` of either side, moves of degree <= max_degree over
+    fibers of at most FIBER_CAP members; the best BEAM of them join the
+    frontier.  Each call adds to the budget's search count and seconds.
     """
-    cache = cache or FiberCache()
-    start: SearchState = (a.rows, b.rows)
+    if not a.rows or not set(a.rows).isdisjoint(b.rows):
+        raise ValueError("pair_search needs non-empty tables sharing no row")
+    budget.searches += 1
+    t = time.perf_counter()
+    try:
+        return _best_first(a, b, below, budget, max_degree,
+                           cache or FiberCache())
+    finally:
+        budget.search_s += time.perf_counter() - t
+
+
+def _best_first(a: Table, b: Table, below: int, budget: Budget,
+                max_degree: int, cache: FiberCache
+                ) -> Optional[list[TraceStep]]:
     n = a.n
-    if goal(start):
+    start: SearchState = (a.rows, b.rows)
+    near = NearestRows(a.rows, b.rows, n)
+    if min(near.start) < below:
         return []
-    frontier: list[tuple[tuple, int, SearchState]] = []
     counter = itertools.count()
-    heapq.heappush(frontier, (score(start), next(counter), start))
+    frontier: list[tuple[tuple, int, SearchState]] = [
+        (_score(near.start), next(counter), start)]
     parents: dict[SearchState, tuple[SearchState, TraceStep]] = {}
     seen = {start}
     while frontier:
@@ -207,15 +304,20 @@ def pair_search(a: Table, b: Table, *,
                 if child in seen:
                     continue
                 seen.add(child)
-                step = TraceStep(side, mv)
-                parents[child] = (state, step)
-                if goal(child):
+                parents[child] = (state, TraceStep(side, mv))
+                dists = near.child(state, side, mv, nb.rows)
+                if min(dists) < below:
                     return _unwind(parents, start, child)
-                children.append((score(child), next(counter), child))
+                children.append((_score(dists), next(counter), child, dists))
         children.sort(key=lambda t: t[0])
-        for item in children[:BEAM]:
-            heapq.heappush(frontier, item)
+        for score, count, child, dists in children[:BEAM]:
+            near.keep(child, dists)
+            heapq.heappush(frontier, (score, count, child))
     return None
+
+
+def _score(dists: Sequence[int]) -> tuple[int, int, int]:
+    return len(dists), min(dists), sum(dists)
 
 
 def _unwind(parents, start: SearchState, state: SearchState) -> list[TraceStep]:
@@ -231,30 +333,13 @@ def _unwind(parents, start: SearchState, state: SearchState) -> list[TraceStep]:
 # strategy routines
 # ---------------------------------------------------------------------------
 
-def _potential_below(state: SearchState, n: int, pot: tuple[int, int]) -> bool:
-    """Whether the state's (stripped degree, min cross Hamming distance) is
-    below `pot`, measuring distances only on a tie in degree."""
-    ra, rb = strip_common(state[0], state[1])
-    if len(ra) != pot[0] or not ra:
-        return (len(ra), 0) < pot
-    return min_cross_k(ra, rb, n) < pot[1]
-
-
-def _score_potential(state: SearchState, n: int) -> tuple:
-    ra, rb = strip_common(state[0], state[1])
-    if not ra:
-        return (0, 0, 0)
-    near = _nearest(ra, rb, n)
-    return (len(ra), min(near), sum(near))
-
-
-def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
+def _quadratic_pinch(a: Table, b: Table, k: int) -> Optional[TraceStep]:
     """A same-table degree-2 move strictly decreasing the pair potential.
 
-    The tables share no row, as after strip_common, so every other row is
-    at least the minimal cross distance k from the opposite table.  A
-    replacement pair therefore lowers the potential exactly when one of
-    its rows lies closer than k to a row of the opposite table: at
+    The tables share no row, as after strip_common, and k is their least
+    cross distance, so every other row is at least k from the opposite
+    table.  A replacement pair therefore lowers the potential exactly when
+    one of its rows lies closer than k to a row of the opposite table: at
     distance 0 the stripped degree drops, otherwise the distance does.
     A replacement row of (u, v) keeps u's or v's symbol in each column, so
     it is at least c columns from a row y that has neither in c columns,
@@ -263,7 +348,6 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
     """
     n = a.n
     m = column_mask(n)
-    k = min_cross_k(a.rows, b.rows, n)
     for side, rows, other in ((0, a.rows, b.rows), (1, b.rows, a.rows)):
         tried: set[tuple[int, int]] = set()
         for i, j in itertools.combinations(range(len(rows)), 2):
@@ -283,22 +367,12 @@ def _quadratic_pinch(a: Table, b: Table) -> Optional[TraceStep]:
     return None
 
 
-def _lower_potential(a: Table, b: Table, budget: Budget, cache: FiberCache,
-                     max_degree: int) -> Optional[list[TraceStep]]:
-    """Steps to a pair state of lower potential than (a, b), or None when
-    the search frontier empties."""
-    n = a.n
-    pot = pair_potential(a, b)
-    return pair_search(a, b, goal=lambda s: _potential_below(s, n, pot),
-                       score=lambda s: _score_potential(s, n),
-                       budget=budget, max_degree=max_degree, cache=cache)
-
-
 def reduce_hamming_ge4(t0: Table, t1: Table, budget: Budget,
                        cache: FiberCache,
                        max_degree: int = 4) -> list[TraceStep]:
     """Shrink a minimal disagreement string of length >= 4 to length <= 3,
-    lowering the potential one search at a time."""
+    lowering the potential (a shared row, or a lower least cross distance)
+    one search at a time."""
     n = t0.n
     if pair_potential(t0, t1)[1] < 4:
         raise ValueError("reduce_hamming_ge4 needs disagreement >= 4")
@@ -309,8 +383,8 @@ def reduce_hamming_ge4(t0: Table, t1: Table, budget: Budget,
         k = min_cross_k(ra, rb, n)
         if k <= 3:
             return steps
-        found = _lower_potential(Table(ra, n), Table(rb, n), budget, cache,
-                                 max_degree)
+        found = pair_search(Table(ra, n), Table(rb, n), below=k,
+                            budget=budget, max_degree=max_degree, cache=cache)
         if found is None:
             raise StrategyGap(f"ge4:string-len-{k}")
         a, b = replay_trace(a, b, found, max_degree)
@@ -320,10 +394,12 @@ def reduce_hamming_ge4(t0: Table, t1: Table, budget: Budget,
 def reduce_hamming_3(t0: Table, t1: Table, budget: Budget,
                      cache: FiberCache,
                      max_degree: int = 4) -> list[TraceStep]:
-    """Reduce a pair at minimal distance 3 (string abc) to distance <= 2."""
+    """Reduce a row-disjoint pair at minimal distance 3 (string abc) to a
+    shared row or distance <= 2: one search."""
     if pair_potential(t0, t1)[1] != 3:
         raise ValueError("reduce_hamming_3 needs distance exactly 3")
-    steps = _lower_potential(t0, t1, budget, cache, max_degree)
+    steps = pair_search(t0, t1, below=3, budget=budget,
+                        max_degree=max_degree, cache=cache)
     if steps is None:
         raise StrategyGap("abc")
     return steps
@@ -332,15 +408,10 @@ def reduce_hamming_3(t0: Table, t1: Table, budget: Budget,
 def reduce_hamming_2(t0: Table, t1: Table, budget: Budget,
                      cache: FiberCache,
                      max_degree: int = 4) -> list[TraceStep]:
-    """Reduce a pair at minimal distance 2 by reaching a shared row: one
-    search until the stripped degree drops."""
-    n = t0.n
-    d0 = len(strip_common(t0.rows, t1.rows)[0])
-    steps = pair_search(
-        t0, t1,
-        goal=lambda s: len(strip_common(s[0], s[1])[0]) < d0,
-        score=lambda s: _score_potential(s, n),
-        budget=budget, max_degree=max_degree, cache=cache)
+    """Reduce a row-disjoint pair at minimal distance 2 by reaching a
+    shared row: one search until the stripped degree drops."""
+    steps = pair_search(t0, t1, below=1, budget=budget,
+                        max_degree=max_degree, cache=cache)
     if steps is None:
         raise StrategyGap("k2:no-shared-row")
     return steps
@@ -544,7 +615,8 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 b = apply_move(b, st.move)
             steps.append(st)
 
-    guard = 0
+    guard = pinch_calls = 0
+    pinch_s = 0.0
     message = ""
     try:
         while True:
@@ -558,11 +630,14 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
                 apply_steps([TraceStep(0, Move(ra, rb, a.n))])
                 continue
             sa, sb = Table(ra, a.n), Table(rb, a.n)
-            pinch = _quadratic_pinch(sa, sb)
+            k = min_cross_k(ra, rb, a.n)
+            t = time.perf_counter()
+            pinch = _quadratic_pinch(sa, sb, k)
+            pinch_calls += 1
+            pinch_s += time.perf_counter() - t
             if pinch is not None:
                 apply_steps([pinch])
                 continue
-            k = min_cross_k(ra, rb, a.n)
             if k >= 4:
                 diag.strategy_cases["ge4"] += 1
                 strategy = reduce_hamming_ge4
@@ -582,6 +657,11 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
     diag.fiber_cache_misses = cache.misses
     diag.fiber_cap_hits = cache.cap_hits
     diag.nodes_spent = node_budget - max(budget.nodes, 0)
+    diag.routines = {"pinch_calls": pinch_calls, "pinch_s": pinch_s,
+                     "pair_search_calls": budget.searches,
+                     "pair_search_s": budget.search_s,
+                     "fiber_build_calls": cache.builds,
+                     "fiber_build_s": cache.build_s}
     if message:
         return ReduceResult(steps, False, diag, message)
     if not trace_is_valid(t0, t1, steps, max_degree):
@@ -678,6 +758,8 @@ class FuzzReport:
     max_trace_len: int
     failures: list[dict]
     search: Counter  # Diagnostics.search_counts summed over the pairs
+    # Diagnostics.routines summed over the pairs
+    routines: Counter = field(default_factory=Counter)
 
     def to_json(self) -> dict:
         return {
@@ -686,6 +768,7 @@ class FuzzReport:
             "replay_valid": self.replay_valid,
             "fallback_cases": dict(self.fallbacks),
             "search": dict(self.search),
+            "routines": dict(self.routines),
             "max_trace_len": self.max_trace_len,
             "failures": self.failures,
         }
@@ -702,6 +785,7 @@ class FuzzReport:
             out.max_trace_len = max(out.max_trace_len, r.max_trace_len)
             out.failures.extend(r.failures)
             out.search.update(r.search)
+            out.routines.update(r.routines)
         return out
 
 
@@ -717,6 +801,7 @@ def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
         res = reduce_pair(t0, t1, node_budget=node_budget)
         rep.fallbacks.update(res.diagnostics.fallback_cases)
         rep.search.update(res.diagnostics.search_counts())
+        rep.routines.update(res.diagnostics.routines)
         reason = res.message
         if res.success:
             rep.reduced += 1

@@ -6,6 +6,8 @@ from kimura4.cli import main
 from kimura4.moves import read_trace
 from kimura4.tables import Table, pair_to_json
 
+ROUTINE_KEYS = {f"{r}_{unit}" for r in ("pinch", "pair_search", "fiber_build")
+                for unit in ("calls", "s")}
 PAIR = pair_to_json(Table.from_strings(["aa00", "0bb0", "c00c"]),
                     Table.from_strings(["0000", "cab0", "ab0c"]))
 
@@ -43,7 +45,8 @@ def test_reduce_roundtrip_with_trace(tmp_path, capsys):
     assert rc == 0
     diag = json.loads(report.read_text())["diagnostics"]
     assert set(diag) >= {"nodes_spent", "fiber_cache_hits",
-                         "fiber_cache_misses", "fiber_cap_hits"}
+                         "fiber_cache_misses", "fiber_cap_hits", "routines"}
+    assert set(diag["routines"]) == ROUTINE_KEYS
     steps = read_trace(str(trace))
     assert steps and all(s.move.degree <= 4 for s in steps)
     # independent verification path
@@ -206,6 +209,8 @@ def test_fuzz_cli(tmp_path):
     assert payload["reduced"] == 20 and payload["replay_valid"] == 20
     assert set(payload["search"]) == {"nodes_spent", "fiber_cache_hits",
                                       "fiber_cache_misses", "fiber_cap_hits"}
+    assert set(payload["routines"]) == ROUTINE_KEYS
+    assert payload["routines"]["pinch_calls"] > 0
     assert payload["config"]["seed"] == 9
 
 

@@ -87,6 +87,44 @@ def test_fit_ehrhart_rejects_non_polynomial():
         fit_ehrhart([1, 2, 4, 8, 16], 2)
 
 
+def _fraction_fit(values, dim):
+    # the fit in Fractions: Newton differences expanded through the
+    # binomial basis C(t, j+1) = C(t, j) (t - j) / (j + 1)
+    diffs = [Fraction(v) for v in values[:dim + 1]]
+    newton = [diffs[0]]
+    for _ in range(dim):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        newton.append(diffs[0])
+    coeffs = [Fraction(0)] * (dim + 1)
+    basis = [Fraction(1)]
+    for j in range(dim + 1):
+        for p, c in enumerate(basis):
+            coeffs[p] += newton[j] * c
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for p, c in enumerate(basis):
+            nxt[p + 1] += c / (j + 1)
+            nxt[p] -= c * j / (j + 1)
+        basis = nxt
+    return coeffs
+
+
+def test_integer_fit_matches_fraction_fit():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        dim = int(rng.integers(0, 16))
+        newton = [int(v) for v in rng.integers(-10**6, 10**12, dim + 1)]
+        values = [sum(c * math.comb(k, j) for j, c in enumerate(newton))
+                  for k in range(dim + 1 + int(rng.integers(0, 4)))]
+        assert fit_ehrhart(values, dim) == _fraction_fit(values, dim)
+    num, e, dim = bundled_series("n6_full")
+    values = expand_series(num, e, 21)
+    assert fit_ehrhart(values, dim) == _fraction_fit(values, dim)
+    rec = build_record(3, None, 10)
+    assert rec.ehrhart == [str(c) for c in _fraction_fit(rec.values, rec.dim)]
+    with pytest.raises(ValueError):
+        fit_ehrhart(values[:-1] + [values[-1] + 1], dim)
+
+
 def test_fit_matches_paper_hilbert_polynomial():
     num, e, dim = bundled_series("n6_full")
     values = expand_series(num, e, 21)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -307,6 +308,124 @@ def test_strategy_gap_ends_reduction_after_one_search(monkeypatch):
     assert compatible(a, b) and a != b
 
 
+def test_search_scans_grow_with_states_not_children(monkeypatch):
+    # full side-against-side scans and strip_common calls come once per
+    # pass of reduce_pair's loop and once per search, however many
+    # children the search scores
+    t0, t1 = _first_k2_pair()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reducer, "_nearest",
+                        counted("nearest", reducer._nearest))
+    monkeypatch.setattr(reducer, "strip_common",
+                        counted("strip", reducer.strip_common))
+    neighbors = reducer.neighbors
+
+    def counted_neighbors(*args, **kwargs):
+        for item in neighbors(*args, **kwargs):
+            calls["children"] += 1
+            yield item
+
+    monkeypatch.setattr(reducer, "neighbors", counted_neighbors)
+    res = reduce_pair(t0, t1)
+    assert res.success
+    passes = len(res.steps) + 1
+    bound = 2 * passes + res.diagnostics.nodes_spent
+    assert calls["nearest"] + calls["strip"] <= bound
+    assert calls["children"] > 20 * bound
+
+
+def _rescored(state, n):
+    # the reference scoring: strip the shared rows, then scan every
+    # stripped side-0 row against every stripped side-1 row
+    ra, rb = strip_common(*state)
+    m = column_mask(n)
+    return len(ra) < len(state[0]), [
+        min((((x ^ y) | (x ^ y) >> 1) & m).bit_count() for y in rb)
+        for x in ra]
+
+
+def test_nearest_rows_match_full_recompute():
+    # every child of the start and of the best child of each side, for
+    # random stripped pairs at n = 4..9, on both sides; side-1 children that
+    # remove a row's only nearest neighbours must be met
+    rng = random.Random(404)
+    children = rises = 0
+    for n in range(4, 10):
+        pairs = 0
+        while pairs < 2:
+            t0, t1 = random_compatible_pair(n, rng.randint(4, 6), rng)
+            ra, rb = strip_common(t0.rows, t1.rows)
+            if len(ra) < 3:
+                continue
+            pairs += 1
+            near = reducer.NearestRows(ra, rb, n)
+            assert near.start == _rescored((ra, rb), n)[1]
+            cache = FiberCache()
+            todo = [((ra, rb), near.start)]
+            for _ in range(2):
+                best = {}
+                for state, old in todo:
+                    for side in (0, 1):
+                        for mv, nb in moves.neighbors(
+                                Table(state[side], n), 4, cache,
+                                fiber_cap=reducer.FIBER_CAP):
+                            child = ((nb.rows, state[1]) if side == 0
+                                     else (state[0], nb.rows))
+                            dists = near.child(state, side, mv, nb.rows)
+                            shared, full = _rescored(child, n)
+                            children += 1
+                            if shared:
+                                assert min(dists) == 0, (state, side, mv)
+                                continue
+                            assert dists == full, (state, side, mv)
+                            if side == 1:
+                                rises += any(map(int.__gt__, dists, old))
+                            score = (min(dists), sum(dists))
+                            if side not in best or score < best[side][0]:
+                                best[side] = (score, child, dists)
+                todo = []
+                for _, child, dists in best.values():
+                    near.keep(child, dists)
+                    todo.append((child, dists))
+    assert children > 5000 and rises > 100, (children, rises)
+
+
+def test_diagnostics_time_the_routines():
+    rng = random.Random(8)
+    searched = 0
+    keys = {f"{r}_{unit}" for r in ("pinch", "pair_search", "fiber_build")
+            for unit in ("calls", "s")}
+    for _ in range(12):
+        t0, t1 = random_compatible_pair(8, 8, rng)
+        t = time.perf_counter()
+        res = reduce_pair(t0, t1)
+        elapsed = time.perf_counter() - t
+        diag = res.diagnostics
+        r = diag.routines
+        assert set(r) == keys and json.loads(json.dumps(diag.to_json()))[
+            "routines"] == dict(r)
+        assert r["pinch_calls"] > 0
+        assert 0 <= r["pinch_s"] + r["pair_search_s"] <= elapsed
+        assert 0 <= r["fiber_build_s"] <= r["pair_search_s"]
+        assert r["pair_search_calls"] == sum(diag.strategy_cases.values())
+        assert (diag.fiber_cache_misses <= r["fiber_build_calls"]
+                <= diag.fiber_cache_misses + diag.fiber_cap_hits)
+        searched += r["pair_search_calls"]
+    assert searched
+
+
+def test_pair_search_needs_row_disjoint_tables():
+    with pytest.raises(ValueError):
+        reducer.pair_search(T0_EX, T0_EX, below=1, budget=Budget(10))
+
+
 def test_reduce_every_member_of_small_fibers():
     # every member of every n=3 fiber of degree 6 and 7 (65688 pairs)
     # reduces to its fiber's first member with a replay-valid trace and no
@@ -382,6 +501,9 @@ def test_fuzz_reports_merge():
     assert m.failures == a.failures + b.failures
     assert m.to_json()["search"] == {k: a.search[k] + b.search[k]
                                      for k in a.search}
+    assert m.to_json()["routines"] == {k: a.routines[k] + b.routines[k]
+                                       for k in a.routines}
+    assert b.routines["pair_search_calls"] > 0
 
 
 # SHA-256 of the traces of _pinned_pairs, computed when capped fibers were
@@ -470,7 +592,7 @@ def test_pinch_skip_matches_unpruned_scan():
             if len(ra) < 2:
                 continue
             a, b = Table(ra, n), Table(rb, n)
-            step = reducer._quadratic_pinch(a, b)
+            step = reducer._quadratic_pinch(a, b, min_cross_k(ra, rb, n))
             assert step == _unpruned_pinch(a, b), (n, ra, rb)
             found += step is not None
             none += step is None
