@@ -43,7 +43,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -101,19 +101,15 @@ def multiset_diff_size(a: Sequence[int], b: Sequence[int]) -> int:
     return changed + (len(a) - i)
 
 
-def fiber_components(f: Fiber, move_degree: int,
-                     *, census_mode: bool = False
+def fiber_components(f: Fiber, move_degree: int
                      ) -> tuple[int, list[tuple[int, ...]]]:
     """Component count and one representative per component.
 
-    Edges are moves of degree <= move_degree; census mode additionally
-    restricts to proper sub-multiset replacements (degree <= d-1), the
-    convention under which components count minimal generators.
+    Edges are moves of degree <= move_degree.  With move_degree = d-1, the
+    proper sub-multiset replacements, components count minimal generators.
     """
     # no degree-1 moves exist, so with bound < 2 everything is isolated
     bound = max(move_degree, 1)
-    if census_mode:
-        bound = min(bound, f.degree - 1)
     m = len(f.members)
     parent = list(range(m))
 
@@ -142,7 +138,7 @@ def census_reference(n: int, max_degree: int,
     for d in range(2, max_degree + 1):
         total = 0
         for f in fibers(n, d, face, include_singletons=False):
-            comps, _ = fiber_components(f, d - 1, census_mode=True)
+            comps, _ = fiber_components(f, d - 1)
             total += comps - 1
         out[d] = total
     return out
@@ -167,7 +163,6 @@ class Orbits:
     """
     n: int
     degree: int
-    n_flows: int
     witnesses: np.ndarray
     sizes: np.ndarray
 
@@ -404,18 +399,7 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
             run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)
             stab = stab * run
         rows = np.concatenate([rows[first // v], (first % v)[:, None]], axis=1)
-        yield Orbits(n, d, v, flows[rows], order // stab)
-
-
-@dataclass
-class OrbitSweep:
-    generators: int  # sum over fibers of components - 1
-    fibers: int
-    largest_fiber: int
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-    fibers_s: float = 0.0  # seconds enumerating fibers
-    components_s: float = 0.0  # seconds labelling components
-    flood_rounds: int = 0  # label-flood rounds, most in one witness chunk
+        yield Orbits(n, d, flows[rows], order // stab)
 
 
 def _share_labels(wid: np.ndarray, members: np.ndarray, t: int, v: int
@@ -446,9 +430,45 @@ def _share_labels(wid: np.ndarray, members: np.ndarray, t: int, v: int
     return _min_label_flood(labels, list(keys.reshape(-1, m)), len(uniq))
 
 
-def _orbit_sweep(orb: Orbits, flows: np.ndarray, t: int) -> OrbitSweep:
-    """Components of every fiber of the degree, one fiber per orbit.
+@dataclass
+class DegreeCensus:
+    """One degree's components, counted over all its fibers.
 
+    `generators` sums components - 1 over the fibers.  The fields with
+    defaults are the orbit route's only: seconds building the orbit layer,
+    enumerating fibers and labelling components, the most rounds the label
+    flood took on one witness chunk, and a pair of members of one fiber in
+    different components, as packed flows, if there is one.  The fields
+    are in the order of the report's keys (`to_json`).
+    """
+    degree: int
+    generators: int
+    fibers: int
+    multisets: int
+    elapsed_s: float
+    orbits: Optional[int]  # None where the spill kernel counted the degree
+    largest_fiber: int
+    orbits_s: Optional[float] = None
+    fibers_s: Optional[float] = None
+    components_s: Optional[float] = None
+    flood_rounds: Optional[int] = None
+    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+
+    def to_json(self) -> dict:
+        """Every field but the witness, seconds rounded to milliseconds."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "witness"}
+        for key in ("elapsed_s", "orbits_s", "fibers_s", "components_s"):
+            if obj[key] is not None:
+                obj[key] = round(obj[key], 3)
+        return obj
+
+
+def _orbit_sweep(layers: Iterator[Orbits], flows: np.ndarray, d: int, t: int
+                 ) -> DegreeCensus:
+    """Components of every fiber of degree d, one fiber per orbit.
+
+    `layers` is the face's `orbit_layers`, taken up to degree d here, and
     `flows` are the face's flows.  Witnesses go in chunks of
     ORBIT_CHUNK // (V * d), so that one pool test per row of a chunk stays
     within ORBIT_CHUNK elements.  Each chunk's fibers are enumerated at
@@ -458,16 +478,21 @@ def _orbit_sweep(orb: Orbits, flows: np.ndarray, t: int) -> OrbitSweep:
     AssertionError unless the orbits' fibers, each counted with its orbit
     size, hold every degree-d multiset exactly once.
     """
-    out = OrbitSweep(0, 0, 0, None)
+    start = time.perf_counter()
+    orb = next(o for o in layers if o.degree == d)
+    v = len(flows)
+    out = DegreeCensus(d, 0, 0, math.comb(v + d - 1, d), 0.0, len(orb.sizes),
+                       0, orbits_s=time.perf_counter() - start, fibers_s=0.0,
+                       components_s=0.0, flood_rounds=0)
     members = 0
-    step = max(1, ORBIT_CHUNK // (len(flows) * orb.degree))
+    step = max(1, ORBIT_CHUNK // (v * d))
     for lo in range(0, len(orb.sizes), step):
         sizes = orb.sizes[lo:lo + step]
         t0 = time.perf_counter()
         wid, fiber = moves.witness_fibers(orb.witnesses[lo:lo + step], flows,
                                           orb.n)
         t1 = time.perf_counter()
-        labels, rounds = _share_labels(wid, fiber, t, len(flows))
+        labels, rounds = _share_labels(wid, fiber, t, v)
         out.fibers_s += t1 - t0
         out.components_s += time.perf_counter() - t1
         out.flood_rounds = max(out.flood_rounds, rounds)
@@ -483,11 +508,10 @@ def _orbit_sweep(orb: Orbits, flows: np.ndarray, t: int) -> OrbitSweep:
             b = a + int(np.argmax(labels[a:] != labels[a]))
             out.witness = (tuple(flows[fiber[a]].tolist()),
                            tuple(flows[fiber[b]].tolist()))
-    expected = math.comb(orb.n_flows + orb.degree - 1, orb.degree)
-    if members != expected:
-        raise AssertionError(
-            f"degree {orb.degree}: orbit fibers hold {members} multisets, "
-            f"expected {expected}")
+    if members != out.multisets:
+        raise AssertionError(f"degree {d}: orbit fibers hold {members} "
+                             f"multisets, expected {out.multisets}")
+    out.elapsed_s = time.perf_counter() - start
     return out
 
 
@@ -631,24 +655,6 @@ def _components(keys: np.ndarray, rows: np.ndarray, v: int
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DegreeCensus:
-    degree: int
-    generators: int
-    fibers: int
-    multisets: int
-    elapsed_s: float
-    orbits: Optional[int]  # None where the spill kernel counted the degree
-    largest_fiber: int
-    # orbit route only: seconds building the orbit layer, enumerating
-    # fibers and labelling components, and the most rounds the label flood
-    # took on one witness chunk
-    orbits_s: Optional[float] = None
-    fibers_s: Optional[float] = None
-    components_s: Optional[float] = None
-    flood_rounds: Optional[int] = None
-
-
-@dataclass
 class CensusReport:
     n: int
     face: str
@@ -661,26 +667,13 @@ class CensusReport:
         return {r.degree: r.generators for r in self.rows}
 
     def to_json(self) -> dict:
-        def secs(x: Optional[float]) -> Optional[float]:
-            return None if x is None else round(x, 3)
-
         return {
             "n_leaves": self.n,
             "face": self.face,
             "max_degree": self.max_degree,
             "complete": self.complete,
             "note": self.note,
-            "degrees": [
-                {"degree": r.degree, "generators": r.generators,
-                 "fibers": r.fibers, "multisets": r.multisets,
-                 "elapsed_s": round(r.elapsed_s, 3),
-                 "orbits": r.orbits, "largest_fiber": r.largest_fiber,
-                 "orbits_s": secs(r.orbits_s),
-                 "fibers_s": secs(r.fibers_s),
-                 "components_s": secs(r.components_s),
-                 "flood_rounds": r.flood_rounds}
-                for r in self.rows
-            ],
+            "degrees": [r.to_json() for r in self.rows],
         }
 
 
@@ -699,14 +692,7 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
     key1 = groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
     # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
     if m_total <= member_budget:
-        t1 = time.perf_counter()
-        orb = next(o for o in layers if o.degree == d)
-        orbits_s = time.perf_counter() - t1
-        sweep = _orbit_sweep(orb, flows, 1)
-        return DegreeCensus(d, sweep.generators, sweep.fibers, m_total,
-                            time.perf_counter() - t0, len(orb.sizes),
-                            sweep.largest_fiber, orbits_s, sweep.fibers_s,
-                            sweep.components_s, sweep.flood_rounds)
+        return _orbit_sweep(layers, flows, d, 1)
     fibers = components = largest = 0
     base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
     with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
@@ -768,14 +754,8 @@ class ConnectivityResult:
     move_degree: int
     checked: list[int] = field(default_factory=list)
     witness: Optional[tuple[list[str], list[str]]] = None
-    # per swept degree: orbits, seconds in all, building the orbit layer,
-    # enumerating fibers and labelling components, and flood rounds
-    orbits: dict[int, int] = field(default_factory=dict)
-    elapsed_s: dict[int, float] = field(default_factory=dict)
-    orbits_s: dict[int, float] = field(default_factory=dict)
-    fibers_s: dict[int, float] = field(default_factory=dict)
-    components_s: dict[int, float] = field(default_factory=dict)
-    flood_rounds: dict[int, int] = field(default_factory=dict)
+    # the degrees past move_degree, each swept on the orbit route
+    degrees: dict[int, DegreeCensus] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         obj = {
@@ -785,13 +765,11 @@ class ConnectivityResult:
             "max_table_degree": self.max_table_degree,
             "move_degree": self.move_degree,
             "checked_degrees": self.checked,
-            "orbits": {str(d): k for d, k in self.orbits.items()},
-            "flood_rounds": {str(d): k
-                             for d, k in self.flood_rounds.items()},
         }
-        for key in ("elapsed_s", "orbits_s", "fibers_s", "components_s"):
-            obj[key] = {str(d): round(x, 3)
-                        for d, x in getattr(self, key).items()}
+        rows = {str(d): r.to_json() for d, r in self.degrees.items()}
+        for key in ("orbits", "flood_rounds", "elapsed_s", "orbits_s",
+                    "fibers_s", "components_s"):
+            obj[key] = {d: row[key] for d, row in rows.items()}
         if self.witness:
             obj["witness"] = {"t0": self.witness[0], "t1": self.witness[1]}
         return obj
@@ -818,24 +796,15 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
         if d <= move_degree:
             res.checked.append(d)
             continue
-        t0 = time.perf_counter()
         groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
-        t1 = time.perf_counter()
-        orb = next(o for o in layers if o.degree == d)
-        res.orbits_s[d] = time.perf_counter() - t1
-        sweep = _orbit_sweep(orb, flows, d - move_degree)
-        res.orbits[d] = len(orb.sizes)
-        res.elapsed_s[d] = time.perf_counter() - t0
-        res.fibers_s[d] = sweep.fibers_s
-        res.components_s[d] = sweep.components_s
-        res.flood_rounds[d] = sweep.flood_rounds
+        row = res.degrees[d] = _orbit_sweep(layers, flows, d, d - move_degree)
         res.checked.append(d)
         if progress:
             progress(f"degree {d}: "
-                     + ("ok" if sweep.witness is None else "DISCONNECTED"))
-        if sweep.witness is not None:
+                     + ("ok" if row.witness is None else "DISCONNECTED"))
+        if row.witness is not None:
             res.ok = False
             res.witness = tuple([groups.format_flow(v, n) for v in rows]
-                                for rows in sweep.witness)
+                                for rows in row.witness)
             return res
     return res

@@ -152,8 +152,8 @@ def test_hilbert_cli(tmp_path):
 
 
 def test_hilbert_cli_key_width_exit_code(capsys):
-    # dilation 10 at n=6 would need 66-bit profile keys; there is no key
-    # width limit now, and the default --max-layer stops it at H(4)
+    # the default --max-layer (3e7 profiles) stops n=6 at dilation 4,
+    # whose H(4) = 424014793
     assert main(["hilbert", "--leaves", "6", "--max-dilation", "10"]) == 2
     assert "stopped: dilation 4:" in capsys.readouterr().out
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -381,7 +382,8 @@ def test_orbit_telemetry():
     assert [r.largest_fiber for r in rep.rows] == \
         [max(len(f.members) for f in fibers(3, d)) for d in (2, 3, 4)]
     res = connectivity_check(3, 7, 4)
-    assert res.orbits == {5: 51, 6: 134, 7: 304}
+    assert {d: r.orbits for d, r in res.degrees.items()} == \
+        {5: 51, 6: 134, 7: 304}
     assert res.to_json()["orbits"] == {"5": 51, "6": 134, "7": 304}
 
 
@@ -395,11 +397,10 @@ def test_stage_seconds_fit_in_each_degree():
     res = connectivity_check(3, 7, 4)
     keys = ("elapsed_s", "orbits_s", "fibers_s", "components_s",
             "flood_rounds")
-    assert all(sorted(getattr(res, key)) == [5, 6, 7] for key in keys)
-    for d, elapsed in res.elapsed_s.items():
-        assert (res.orbits_s[d] + res.fibers_s[d] + res.components_s[d]
-                <= elapsed)
-        assert 1 <= res.flood_rounds[d] < markov.FLOOD_MAX_ITER
+    assert sorted(res.degrees) == [5, 6, 7]
+    for row in res.degrees.values():
+        assert row.orbits_s + row.fibers_s + row.components_s <= row.elapsed_s
+        assert 1 <= row.flood_rounds < markov.FLOOD_MAX_ITER
     obj = res.to_json()
     assert all(list(obj[key]) == ["5", "6", "7"] for key in keys)
 
@@ -440,8 +441,6 @@ def test_node_key_width_is_checked():
 
 
 def test_census_report_reproducible():
-    import json
-
     def snap():
         rep = minimal_generator_census(3, 4).to_json()
         for row in rep["degrees"]:
@@ -450,3 +449,57 @@ def test_census_report_reproducible():
         return json.dumps(rep, sort_keys=True)
 
     assert snap() == snap()
+
+
+SECONDS = ("elapsed_s", "orbits_s", "fibers_s", "components_s")
+
+
+def _without_seconds(obj):
+    """A report with its seconds left out: a degree -> seconds dict becomes
+    its keys in order, one row's seconds the name of their type."""
+    if isinstance(obj, list):
+        return [_without_seconds(x) for x in obj]
+    if not isinstance(obj, dict):
+        return obj
+    return {key: (list(value) if isinstance(value, dict)
+                  else type(value).__name__) if key in SECONDS
+            else _without_seconds(value) for key, value in obj.items()}
+
+
+def _connectivity_json(connected, max_table_degree, move_degree, checked,
+                       orbits, flood_rounds):
+    swept = list(orbits)
+    return {"connected": connected, "n_leaves": 3, "face": "",
+            "max_table_degree": max_table_degree, "move_degree": move_degree,
+            "checked_degrees": checked, "orbits": orbits,
+            "flood_rounds": flood_rounds, "elapsed_s": swept,
+            "orbits_s": swept, "fibers_s": swept, "components_s": swept}
+
+
+def test_reports_match_pinned_json():
+    # every value but the seconds, and the key order, of the JSON reports
+    pinned = [
+        (connectivity_check(3, 7, 4), _connectivity_json(
+            True, 7, 4, [2, 3, 4, 5, 6, 7], {"5": 51, "6": 134, "7": 304},
+            {"5": 2, "6": 3, "7": 3})),
+        (connectivity_check(3, 4, 2), dict(_connectivity_json(
+            False, 4, 2, [2, 3], {"3": 8}, {"3": 1}),
+            witness={"t0": ["000", "abc", "bca"],
+                     "t1": ["0cc", "a0a", "bb0"]})),
+        (minimal_generator_census(3, 6), {
+            "n_leaves": 3, "face": "", "max_degree": 6, "complete": True,
+            "note": "", "degrees": [
+                {"degree": d, "generators": gens, "fibers": fibers_,
+                 "multisets": math.comb(15 + d, d), "elapsed_s": "float",
+                 "orbits": orbits, "largest_fiber": largest,
+                 "orbits_s": "float", "fibers_s": "float",
+                 "components_s": "float", "flood_rounds": rounds}
+                for d, gens, fibers_, orbits, largest, rounds in [
+                    (2, 0, 136, 3, 1, 0), (3, 16, 800, 8, 2, 1),
+                    (4, 18, 3611, 23, 8, 3), (5, 0, 13328, 51, 8, 2),
+                    (6, 0, 42048, 134, 9, 3)]]}),
+    ]
+    for report, expected in pinned:
+        got = _without_seconds(report.to_json())
+        assert got == expected
+        assert json.dumps(got) == json.dumps(expected)  # the key order too
