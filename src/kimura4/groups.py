@@ -188,26 +188,23 @@ def enumerate_flows(n: int, face: Optional[FaceSpec] = None) -> list[int]:
     Without a face the count is 4**(n-1): the first n-1 entries are free and
     the last is forced.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    allowed = (face or FaceSpec()).allowed_symbols(n)
-    out = []
-
-    def rec(col: int, acc: int, s: int) -> None:
-        if col == n - 1:
-            if s in allowed[col]:
-                out.append((acc << 2) | s)
-            return
-        for g in allowed[col]:
-            rec(col + 1, (acc << 2) | g, s ^ g)
-
-    rec(0, 0, 0)
-    return out
+    return flows_array(n, face).tolist()
 
 
 def flows_array(n: int, face: Optional[FaceSpec] = None) -> np.ndarray:
-    """enumerate_flows as an int64 array (sorted)."""
-    return np.array(enumerate_flows(n, face), dtype=np.int64)
+    """enumerate_flows as an int64 array (sorted): every choice of allowed
+    symbols in the first n-1 columns, in lex order, completed by the XOR of
+    its entries and kept where the last column allows that symbol."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    allowed = (face or FaceSpec()).allowed_symbols(n)
+    prefix = xor = np.zeros(1, dtype=np.int64)
+    for col in allowed[:-1]:
+        g = np.array(col, dtype=np.int64)
+        prefix = ((prefix[:, None] << 2) | g).ravel()
+        xor = (xor[:, None] ^ g).ravel()
+    last = sum(1 << g for g in allowed[-1])
+    return ((prefix << 2) | xor)[(last >> xor) & 1 == 1]
 
 
 def column_symbols(flows: np.ndarray, n: int) -> np.ndarray:

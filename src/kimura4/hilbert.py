@@ -72,9 +72,12 @@ def polytope_dimension(n: int, face: Optional[FaceSpec] = None) -> int:
     With A the vertices less the first, this is the rank of the integer
     Gram matrix A^T A by exact fraction-free (Bareiss) elimination.  A^T A
     is positive semidefinite: a zero left on its diagonal is a zero row.
+    A column's four indicators sum to 1 on every vertex, so to 0 on every
+    row of A; A keeps only the indicators of a, b and c, and the Gram
+    matrix is 3n x 3n with the same rank.
     """
     syms = groups.column_symbols(groups.flows_array(n, face), n)
-    pts = np.eye(4, dtype=np.int64)[syms].reshape(len(syms), 4 * n)
+    pts = np.eye(4, dtype=np.int64)[syms][:, :, 1:].reshape(len(syms), 3 * n)
     pts -= pts[0]
     gram = np.einsum("vi,vj->ij", pts, pts).tolist()
     rank, last = 0, 1

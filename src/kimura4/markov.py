@@ -17,12 +17,16 @@ fibers in one symmetry orbit have the same size and component count
 (orbit representatives as in Aoki & Takemura, AISM 2008; connectivity of
 every fiber as the Markov-basis criterion of Diaconis & Sturmfels, Ann.
 Statist. 1998).  The orbit route builds one witness per orbit of the face's
-stabilizer, degree by degree.  A candidate's canonical form comes from each
-column's least key under each coset of the stabilizer's translations and
-one parity class per coset, never from every symmetry.  The route
-enumerates the witnesses' fibers in chunks, all of a chunk at once as
-arrays (`moves.witness_fibers`), labels their components with the min-label
-flood and weights each fiber's components by its orbit size.  Every run
+stabilizer, degree by degree.  Candidates one permutation of equally
+labelled columns apart are one orbit, so only the first of each such class
+is put in canonical form (a cheap subgroup tried before the full labelling,
+as in McKay's canonical augmentation, J. Algorithms 1998).  A canonical
+form comes from each column's least key under each coset of the
+stabilizer's translations and one parity class per coset, never from every
+symmetry.  The route enumerates the witnesses' fibers in chunks, all of a
+chunk at once as arrays (`moves.witness_fibers`), labels their components
+with the min-label flood and weights each fiber's components by its orbit
+size.  Every run
 checks that orbit size times fiber size sums to all C(V+d-1, d) multisets.
 Connectivity and every census degree of at most `member_budget` multisets
 take this route, and the orbit sizes of a degree sum to its Hilbert value
@@ -246,52 +250,60 @@ _SHIFTED = np.array([sum(1 << (x ^ _COSET_MIN[0, m])
                      for m in range(16)], np.uint8)
 
 
+def _odd_even_sort(cols: np.ndarray) -> np.ndarray:
+    """Sort along the first axis in place, by odd-even transposition: one
+    vectorised min/max per round over the rows, n rounds for n rows."""
+    n = len(cols)
+    for rnd in range(n):
+        a, b = cols[rnd % 2:n - 1:2], cols[rnd % 2 + 1::2]
+        a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
+    return cols
+
+
 def _canonical(codes: np.ndarray, least_table: np.ndarray,
-               reached_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               stab_table: np.ndarray, shift_table: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical forms of profiles and the symmetries that reach them.
 
-    `codes` (m, n) holds the rank of each column's count code among the
+    `codes` (n, m) holds the rank of each column's count code among the
     codes its degree can reach.  A map sends a column to a key: the
     transformed face label, then the transformed counts.  The tables
     (`_degree_tables`) give, per (column, coset) and code rank, the least
-    key over the coset's maps of the column and the translations reaching
-    it, as a bit mask.
+    key over the coset's maps of the column, and the translations reaching
+    it as the stabilizer S_i and the least translation u_i.
 
     Per coset, column i's least key m_i is reached by the translations
-    u_i ^ S_i, where S_i is the column's stabilizer among them.  With W the
-    span of the S_i and s the XOR of the u_i, the coset's invariant is
-    (sorted m, least element of s ^ W): two profiles are one translation
-    and column permutation apart iff these agree, since the translations
-    joining them XOR to 0 iff s(P) ^ s(Q) lies in W.  The canonical form
-    is the least invariant over the cosets.  The second array counts the
-    (coset, translation) pairs reaching it: the cosets with the least
-    invariant times prod |S_i| / |W|.
+    u_i ^ S_i.  With W the span of the S_i and s the XOR of the u_i, the
+    coset's invariant is (sorted m, least element of s ^ W): two profiles
+    are one translation and column permutation apart iff these agree,
+    since the translations joining them XOR to 0 iff s(P) ^ s(Q) lies in
+    W.  The canonical form, (n + 1, m), is the least invariant over the
+    cosets.  The second array counts the (coset, translation) pairs
+    reaching it: the cosets with the least invariant times
+    prod |S_i| / |W|.
     """
-    m, n = codes.shape
-    n_cosets, cells = least_table.shape[1:]
-    slots = np.arange(n * n_cosets).reshape(n, n_cosets, 1) * cells
+    n, m = codes.shape
+    n_cosets, size = least_table.shape[1:]
+    slots = np.arange(n * n_cosets).reshape(n, n_cosets, 1) * size
     step = max(1, ORBIT_CHUNK // (n * n_cosets))
-    canon = np.empty((m, n + 1), dtype=least_table.dtype)
+    canon = np.empty((n + 1, m), dtype=least_table.dtype)
     reach = np.empty(m, dtype=np.int64)
     top = np.iinfo(least_table.dtype).max
     for lo in range(0, m, step):
         # table index per (column, coset, candidate)
-        at = slots + codes[lo:lo + step].T[:, None, :]
+        at = slots + codes[:, None, lo:lo + step]
         c = at.shape[2]
-        least, reached = least_table.take(at), reached_table.take(at)
-        for rnd in range(n):  # odd-even transposition sort over the columns
-            a, b = least[rnd % 2:n - 1:2], least[rnd % 2 + 1::2]
-            a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
-        stab = _SHIFTED.take(reached)
+        least = _odd_even_sort(least_table.take(at))
+        stab = stab_table.take(at)
         span = _SPAN.take(np.bitwise_or.reduce(stab, axis=0))
-        shift = np.bitwise_xor.reduce(_COSET_MIN[0].take(reached), axis=0)
+        shift = np.bitwise_xor.reduce(shift_table.take(at), axis=0)
         parity = _COSET_MIN.take(shift * 16 + span)
         alive = np.ones((n_cosets, c), dtype=bool)
         for j, col in enumerate([*least, parity]):
             col = np.where(alive, col, top)
             best = col.min(axis=0)
             alive &= col == best
-            canon[lo:lo + c, j] = best
+            canon[j, lo:lo + c] = best
         g, rows = alive.argmax(axis=0), np.arange(c)
         reach[lo:lo + c] = (np.count_nonzero(alive, axis=0)
                             * _ORDER[stab[:, g, rows]].prod(axis=0)
@@ -299,67 +311,100 @@ def _canonical(codes: np.ndarray, least_table: np.ndarray,
     return canon, reach
 
 
-def _degree_tables(label_image: np.ndarray, coset_maps: np.ndarray, d: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _degree_tables(kind_image: np.ndarray, coset_maps: np.ndarray, d: int
+                   ) -> tuple[np.ndarray, ...]:
     """The tables `_canonical` reads for degree d.
 
     A column's counts are one code, the count of g in digit g of base d+1.
     The counts sum to d, so only C(d+3, 3) of the (d+1)^4 codes occur;
     `rank` numbers them in ascending order.  Map m sends code x of column i
-    to the key label_image[i, m] * (d+1)^4 + (x with the count of g moved
-    to digit m(g)), which is below 16 * (d+1)^4.  `coset_maps` (n, cosets,
-    4) holds each coset's maps of each column, repeated to fill 4 slots.
-    `least` and `reached` (n, cosets, C(d+3, 3)) give per reachable code
-    the least key over the maps and the translations reaching it as a bit
-    mask; repeated maps change neither.
+    to the key kind_image[i, m] * C(d+3, 3) + rank(x with the count of g
+    moved to digit m(g)), where kind_image[i, m] numbers the image of the
+    column's face label among the face's labels; keys order as (label,
+    code) do.  `coset_maps` (n, cosets, 4) holds each coset's maps of each
+    column, repeated to fill 4 slots.  `least`, `stab` and `shift` (n,
+    cosets, C(d+3, 3)) give per reachable code the least key over the maps,
+    and the translations reaching it, a coset of the stabilizer `stab`
+    (a bit mask) with least element `shift`; repeated maps change none.
+    `offset` (n, 1) is each column's identity-map key less its code rank.
+    `rank`, `offset` and `least` share the least dtype that holds every
+    key.
     """
     base, cells = d + 1, (d + 1) ** 4
-    dtype = np.int32 if 16 * cells < 2**31 else np.int64
-    high = np.indices((base,) * 3, dtype=dtype).reshape(3, -1)[::-1]
-    digit = np.concatenate([d - high.sum(axis=0, keepdims=True, dtype=dtype),
-                            high])
+    size = math.comb(d + 3, 3)
+    column = np.arange(len(kind_image))[:, None, None]
+    kind = kind_image[column, coset_maps]
+    dtype = np.int16 if (int(kind.max()) + 1) * size <= 2**15 else np.int32
+    high = np.indices((base,) * 3).reshape(3, -1)[::-1]
+    digit = np.concatenate([d - high.sum(axis=0, keepdims=True), high])
     digit = digit[:, digit[0] >= 0]  # ascending codes, digits summing to d
-    code = (digit * base ** np.arange(4, dtype=dtype)[:, None]).sum(axis=0)
-    rank = np.zeros(cells, dtype=np.int16 if len(code) <= 2**15 else np.int32)
-    rank[code] = np.arange(len(code))
+    rank = np.zeros(cells, dtype=dtype)
+    rank[(digit * base ** np.arange(4)[:, None]).sum(axis=0)] = np.arange(size)
     maps = _affine_maps()
-    moved = sum(digit[g] * base ** maps[:, g:g + 1].astype(dtype)
-                for g in range(4))
-    column = np.arange(len(label_image))[:, None, None]
-    keys = ((label_image[column, coset_maps] * cells).astype(dtype)[..., None]
-            + moved[coset_maps])
+    moved = rank[sum(digit[g] * base ** maps[:, g:g + 1] for g in range(4))]
+    keys = (kind * size).astype(dtype)[..., None] + moved[coset_maps]
     least = keys.min(axis=2)
     hit = (keys == least[:, :, None]).astype(np.uint8)
     reached = np.bitwise_or.reduce(
         hit << (coset_maps & 3).astype(np.uint8)[..., None], axis=2)
-    return rank, least, reached
+    offset = (kind_image[:, :1] * size).astype(dtype)  # map 0 is the identity
+    return (rank, offset, least, _SHIFTED.take(reached),
+            _COSET_MIN[0].take(reached))
 
 
-def _first_of_forms(canon: np.ndarray, bits: int) -> np.ndarray:
-    """The first candidate of each distinct canonical form, in ascending
-    order of the forms, as a stable `np.lexsort` over the columns gives.
+def _first_of_rows(cols: Sequence[np.ndarray], widths: Sequence[int]
+                   ) -> np.ndarray:
+    """The first index of each distinct row of the columns, in ascending
+    order of the rows, as a stable `np.lexsort` over the columns gives.
 
-    The key columns are below 2**bits and the parity column below 4.
-    Packed most significant first into int64 words of at most 63 bits, the
-    columns compare as the rows do, so `np.lexsort` over the words orders
-    the rows in fewer passes.
+    Column j is below 2**widths[j].  Packed most significant first into
+    int64 words of at most 63 bits, the columns compare as the rows do.
+    Where they fit one word with the bit length of the last index to
+    spare, one `np.sort` of the word and the index packed together orders
+    the rows, ties by index; else a stable `np.lexsort` over the words
+    does.  A neighbour test then keeps each row's first index.
     """
     words, used = [], 63
-    for j, width in enumerate([bits] * (canon.shape[1] - 1) + [2]):
+    for col, width in zip(cols, widths):
         if used + width > 63:
-            words.append(canon[:, j].astype(np.int64))
+            words.append(col.astype(np.int64))
             used = width
         else:
             words[-1] <<= width
-            words[-1] |= canon[:, j]
+            words[-1] |= col
             used += width
-    perm = np.lexsort(words[::-1])
-    new = np.zeros(len(perm), dtype=bool)
+    m = len(words[0])
+    ib = (m - 1).bit_length()
+    if len(words) == 1 and used + ib <= 63:
+        word = words[0]
+        word <<= ib
+        word |= np.arange(m)
+        word.sort()
+        index = word & ((1 << ib) - 1)
+        word >>= ib
+    else:
+        index = np.lexsort(words[::-1])
+        words = (word[index] for word in words)  # one at a time
+    new = np.zeros(m, dtype=bool)
     new[0] = True
     for word in words:
-        word = word[perm]
         new[1:] |= word[1:] != word[:-1]
-    return perm[new]
+    return index[new]
+
+
+def _first_of_classes(codes: np.ndarray, offset: np.ndarray, bits: int
+                      ) -> np.ndarray:
+    """Ascending indices of the first candidate of each class.
+
+    A candidate's class key is its columns' identity-map keys, code rank
+    plus the column's label offset (n, 1), sorted: two candidates share it
+    iff a permutation of columns of equal face label joins them.  The keys
+    are below 2**bits.
+    """
+    keys = _odd_even_sort(codes + offset)
+    firsts = np.zeros(codes.shape[1], dtype=bool)
+    firsts[_first_of_rows(keys, [bits] * len(keys))] = True
+    return np.flatnonzero(firsts)
 
 
 def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
@@ -368,35 +413,47 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     The symmetries are translation by a flow, an automorphism of Z2 x Z2
     on every entry and a permutation of the columns; H is the subgroup that
     keeps the face.  Each candidate of degree d is a degree-(d-1) witness
-    plus one face flow, and every orbit has such a member, so
-    canonicalising all candidates finds every orbit once.  An orbit's size
-    is |H| / |Stab|, where |Stab| is the number of (coset, translation)
-    pairs reaching the canonical form times, for each run of equal columns
-    in it, the factorial of the run's length.
+    plus one face flow, and every orbit has such a member.  Permuting
+    columns of one face label is in H, so candidates whose column codes
+    agree as a multiset per label are one orbit: a candidate's class key
+    is its identity-map keys sorted (one word where they fit), and only
+    the first candidate of each class is canonicalised.  The first
+    candidate of each canonical form is such a first, so the witnesses,
+    their sizes and their order are those of canonicalising every
+    candidate.  An orbit's size is |H| / |Stab|, where |Stab| is the
+    number of (coset, translation) pairs reaching the canonical form
+    times, for each run of equal columns in it, the factorial of the
+    run's length.
     """
     v = len(flows)
     sym = groups.column_symbols(flows, n).astype(np.int64)
     labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
     cosets, order = _cosets(labels)
-    label_image = _label_images(labels, _affine_maps())
+    # each map's image of each column's label, numbered among the labels
+    kind_image = np.searchsorted(sorted(set(labels)),
+                                 _label_images(labels, _affine_maps()))
     # (column, coset, slot): the coset's maps of the column, repeated to 4
     coset_maps = np.array([[(col * 4)[:4] for col in cols]
                            for cols in cosets]).transpose(1, 0, 2)
     rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
     for d in itertools.count(1):
-        rank, least, reached = _degree_tables(label_image, coset_maps, d)
-        dtype = least.dtype
-        # candidate r * v + f is witness r plus flow f; each column's count
-        # code, then its rank among the reachable codes
-        weight = ((d + 1) ** sym).astype(dtype)
-        prefix = weight[rows].sum(axis=1, dtype=dtype)
-        canon, reach = _canonical(
-            rank[(prefix[:, None, :] + weight).reshape(-1, n)], least, reached)
-        first = _first_of_forms(canon, int(least.max()).bit_length())
-        canon, stab = canon[first], reach[first]
-        run = np.ones(len(canon), dtype=np.int64)
+        rank, offset, *tables = _degree_tables(kind_image, coset_maps, d)
+        bits = (int(offset.max()) + tables[0].shape[2] - 1).bit_length()
+        # candidate r * v + f is witness r plus flow f; each column's
+        # count code, then its rank among the reachable codes
+        weight = ((d + 1) ** sym).astype(np.int32)  # codes < (d+1)^4
+        prefix = weight[rows].sum(axis=1, dtype=np.int32)
+        codes = np.empty((n, len(rows) * v), dtype=rank.dtype)
+        for i in range(n):
+            codes[i] = rank[(prefix[:, i, None] + weight[:, i]).ravel()]
+        firsts = _first_of_classes(codes, offset, bits)
+        canon, reach = _canonical(codes[:, firsts], *tables)
+        first = _first_of_rows(canon, [bits] * n + [2])
+        canon, stab = canon[:, first], reach[first]
+        first = firsts[first]
+        run = np.ones(len(first), dtype=np.int64)
         for j in range(1, n):
-            run = np.where(canon[:, j] == canon[:, j - 1], run + 1, 1)
+            run = np.where(canon[j] == canon[j - 1], run + 1, 1)
             stab = stab * run
         rows = np.concatenate([rows[first // v], (first % v)[:, None]], axis=1)
         yield Orbits(n, d, flows[rows], order // stab)

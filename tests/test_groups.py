@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from kimura4 import groups
@@ -103,6 +105,37 @@ def test_enumerate_flows_lexicographic_and_complete():
         if t[0] ^ t[1] ^ t[2] == 0
     )
     assert strings == brute
+
+
+def _recursive_flows(n, face=None):
+    # the column-by-column recursion enumerate_flows used before
+    allowed = (face or FaceSpec()).allowed_symbols(n)
+    out = []
+
+    def rec(col, acc, s):
+        if col == n - 1:
+            if s in allowed[col]:
+                out.append((acc << 2) | s)
+            return
+        for g in allowed[col]:
+            rec(col + 1, (acc << 2) | g, s ^ g)
+
+    rec(0, 0, 0)
+    return out
+
+
+def test_flows_match_recursive_enumeration():
+    rng = random.Random(7)
+    faces = [None, *groups.NAMED_FACES.values()]
+    faces += [FaceSpec({(rng.randrange(7), rng.randrange(1, 4))
+                        for _ in range(rng.randrange(1, 10))})
+              for _ in range(40)]
+    for n in range(1, 8):
+        for face in faces:
+            flows = groups.flows_array(n, face)
+            assert flows.dtype == np.int64
+            assert enumerate_flows(n, face) == flows.tolist() == \
+                _recursive_flows(n, face), (n, str(face))
 
 
 def test_named_face_vertex_counts():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -151,8 +152,16 @@ def test_polytope_dimensions():
     assert polytope_dimension(6, groups.FACE_P1) == 15
     assert polytope_dimension(6, groups.FACE_CODIM2_A) == 16
     # the exact Gram rank against a floating-point rank of the vertices
-    for n, face in [(2, None), (5, None), (6, groups.FaceSpec.parse("1:a")),
-                    *[(6, f) for f in groups.NAMED_FACES.values()]]:
+    # under all four indicators of each column
+    rng = random.Random(5)
+    random_faces = [(n, groups.FaceSpec(
+        {(rng.randrange(n), rng.randrange(1, 4))
+         for _ in range(rng.randrange(1, 2 * n))})) for n in (3, 4, 5, 6, 7)
+        for _ in range(4)]
+    for n, face in [*[(n, None) for n in range(2, 8)],
+                    (6, groups.FaceSpec.parse("1:a")),
+                    *[(6, f) for f in groups.NAMED_FACES.values()],
+                    *random_faces]:
         syms = groups.column_symbols(groups.flows_array(n, face), n)
         pts = np.eye(4)[syms].reshape(len(syms), 4 * n)
         assert polytope_dimension(n, face) == np.linalg.matrix_rank(

@@ -300,8 +300,8 @@ def test_degree_tables_match_full_key_table(n, face, monkeypatch):
     # translations over each coset's maps on the full (d+1)^4 key table
     built = []
 
-    def recording(label_image, coset_maps, d):
-        out = degree_tables(label_image, coset_maps, d)
+    def recording(*args):
+        out = degree_tables(*args)
         built.append(out)
         return out
 
@@ -312,10 +312,11 @@ def test_degree_tables_match_full_key_table(n, face, monkeypatch):
     sym = groups.column_symbols(flows, n)
     labels = [int(np.bitwise_or.reduce(1 << sym[:, i].astype(np.int64)))
               for i in range(n)]
+    kinds = sorted(set(labels))
     cosets, _ = markov._cosets(labels)
     maps = markov._affine_maps()
     img = markov._label_images(labels, maps)
-    for d, (rank, least, reached) in enumerate(built, 1):
+    for d, (rank, offset, least, stab, shift) in enumerate(built, 1):
         base, cells = d + 1, (d + 1) ** 4
         digits = [[x // base ** g % base for g in range(4)]
                   for x in range(cells)]
@@ -325,25 +326,61 @@ def test_degree_tables_match_full_key_table(n, face, monkeypatch):
                  for x in range(cells)] for m in range(24)]
                for i in range(n)]
         codes = [x for x in range(cells) if sum(digits[x]) == d]
-        assert rank[codes].tolist() == list(range(math.comb(d + 3, 3)))
-        assert least.shape == reached.shape == (n, len(cosets), len(codes))
-        assert least.dtype == np.int32  # keys below 16 * (d+1)^4 < 2^31
+        size = len(codes)
+        assert size == math.comb(d + 3, 3)
+        assert rank[codes].tolist() == list(range(size))
+        assert least.shape == stab.shape == shift.shape == (
+            n, len(cosets), size)
+        # keys below len(kinds) * C(d+3, 3) < 2^15
+        assert least.dtype == rank.dtype == offset.dtype == np.int16
+        assert offset.ravel().tolist() == [kinds.index(x) * size
+                                           for x in labels]
         for g, cols in enumerate(cosets):
             for i, col in enumerate(cols):
                 for x in codes:
                     low = min(key[i][m][x] for m in col)
-                    mask = sum(1 << (m & 3) for m in col
-                               if key[i][m][x] == low)
-                    assert least[i, g, rank[x]] == low, (d, g, i, x)
-                    assert reached[i, g, rank[x]] == mask, (d, g, i, x)
+                    # a key is (label, code); the tables number both
+                    assert least[i, g, rank[x]] == (
+                        kinds.index(low // cells) * size
+                        + codes.index(low % cells)), (d, g, i, x)
+                    hit = {m & 3 for m in col if key[i][m][x] == low}
+                    u = min(hit)
+                    sub = {t ^ u for t in hit}  # a subgroup: hit is a coset
+                    assert all(a ^ b in sub for a in sub for b in sub)
+                    assert shift[i, g, rank[x]] == u, (d, g, i, x)
+                    assert stab[i, g, rank[x]] == sum(1 << t for t in sub), (
+                        d, g, i, x)
+
+
+def test_degree_tables_widen_past_int16():
+    # 1639 labels times C(6, 3) = 20 codes pass 2^15 and need int32 keys;
+    # numbering the labels from 1638 shifts every least key by 1638 * 20
+    # and leaves the translations
+    sym = groups.column_symbols(groups.flows_array(3), 3).astype(np.int64)
+    labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(3)]
+    cosets, _ = markov._cosets(labels)
+    coset_maps = np.array([[(col * 4)[:4] for col in cols]
+                           for cols in cosets]).transpose(1, 0, 2)
+    kind_image = np.zeros((3, 24), dtype=np.int64)
+    rank, offset, least, stab, shift = markov._degree_tables(
+        kind_image, coset_maps, 3)
+    assert least.dtype == np.int16
+    rank32, offset32, *wide = markov._degree_tables(
+        kind_image + 1638, coset_maps, 3)
+    assert wide[0].dtype == rank32.dtype == offset32.dtype == np.int32
+    assert (rank32 == rank).all()
+    assert (offset32 == offset.astype(np.int32) + 1638 * 20).all()
+    assert (wide[0] == least.astype(np.int32) + 1638 * 20).all()
+    assert (wide[1] == stab).all() and (wide[2] == shift).all()
 
 
 @pytest.mark.parametrize("n, bits", [
-    (3, 5), (3, 18), (2, 31), (6, 12), (4, 40)])
-def test_first_of_forms_matches_lexsort(n, bits):
+    (3, 5), (3, 18), (2, 31), (6, 12), (4, 40), (4, 13), (1, 53)])
+def test_first_of_forms_matches_lexsort(n, bits, monkeypatch):
     # packed words (one word, one word, a word of 64 bits unless split,
-    # two words, a word per key column) against a stable np.lexsort of the
-    # rows and a neighbour test
+    # two words, a word per key column, one word of 54 bits, one of 55)
+    # against a stable np.lexsort of the rows and a neighbour test; a word
+    # sorts alone with the 9 index bits of 500 rows iff it fits 54 bits
     rng = np.random.default_rng(bits)
     values = np.array([0, rng.integers(1, 2**bits - 1), 2**bits - 1])
     keys = values[rng.integers(0, 3, size=(40, n))]  # rows share prefixes
@@ -352,7 +389,67 @@ def test_first_of_forms_matches_lexsort(n, bits):
     perm = np.lexsort(canon.T[::-1])
     rows = canon[perm]
     new = np.append(True, np.any(rows[1:] != rows[:-1], axis=1))
-    assert (markov._first_of_forms(canon, bits) == perm[new]).all()
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(1) or
+                        lexsort(k))
+    got = markov._first_of_rows(canon.T, [bits] * n + [2])
+    assert got.tolist() == perm[new].tolist()
+    assert len(lexsorts) == (n * bits + 2 + 9 > 63)
+
+
+@pytest.mark.parametrize("n, face, max_degree", [
+    (3, None, 7), (4, None, 5),
+    # faces of three and four column labels, some swapped by H
+    (6, groups.FACE_P2, 3), (4, groups.FaceSpec.parse("2:b,3:c"), 5),
+    (4, groups.FaceSpec.parse("1:a,2:b,3:c"), 5)])
+def test_candidates_share_canonical_form_with_class_first(
+        n, face, max_degree, monkeypatch):
+    # every candidate canonicalised, against the first candidate of its
+    # class: the multiset of (face label, column code) over its columns
+    tables, classes = [], []
+
+    def record_tables(*args):
+        tables.append(degree_tables(*args))
+        return tables[-1]
+
+    def record_classes(codes, *args):
+        classes.append((codes.copy(), first_of_classes(codes, *args)))
+        return classes[-1][1]
+
+    degree_tables = markov._degree_tables
+    first_of_classes = markov._first_of_classes
+    monkeypatch.setattr(markov, "_degree_tables", record_tables)
+    monkeypatch.setattr(markov, "_first_of_classes", record_classes)
+    flows = groups.flows_array(n, face)
+    list(itertools.islice(markov.orbit_layers(flows, n), max_degree))
+    sym = groups.column_symbols(flows, n).astype(np.int64)
+    labels = [int(np.bitwise_or.reduce(1 << sym[:, i])) for i in range(n)]
+    assert len(tables) == len(classes) == max_degree
+    for (_, _, *tabs), (codes, firsts) in zip(tables, classes):
+        canon, reach = markov._canonical(codes, *tabs)
+        first_of = {}
+        for j, col in enumerate(codes.T.tolist()):
+            rep = first_of.setdefault(tuple(sorted(zip(labels, col))), j)
+            assert canon[:, j].tolist() == canon[:, rep].tolist(), j
+            assert reach[j] == reach[rep], j
+        assert firsts.tolist() == sorted(first_of.values())
+
+
+def test_canonical_sees_class_firsts_only(monkeypatch):
+    # rows canonicalised per degree of the n=3 layers; canonicalising every
+    # candidate (orbits of degree d-1 times 16 flows) gives 16, 48, 128,
+    # 368, 816, 2144, 4864, 11184, 23584
+    seen = []
+    canonical = markov._canonical
+
+    def counting(codes, *tables):
+        seen.append(codes.shape[1])
+        return canonical(codes, *tables)
+
+    monkeypatch.setattr(markov, "_canonical", counting)
+    list(itertools.islice(markov.orbit_layers(groups.flows_array(3), 3), 9))
+    assert seen == [5, 5, 25, 76, 194, 428, 1025, 2199, 4766]
 
 
 # SHA-256 of the orbit witnesses and sizes below, computed when cosets came
