@@ -3,7 +3,7 @@
 Each run prints a one-line human summary on stdout and, with --out, writes
 a JSON report embedding the exact job configuration and tool version so
 reruns are reproducible.  Exit codes: 0 success, 1 invalid input or failed
-check, 2 budget exhaustion.
+check, 2 budget exhaustion or a size limit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__, corpus, groups, hilbert, markov, reducer
 from .groups import FaceSpec
-from .moves import read_trace, replay_trace, write_trace
+from .moves import SizeLimitExceeded, read_trace, replay_trace, write_trace
 from .tables import pair_from_json
 
 EXIT_OK = 0
@@ -107,8 +107,6 @@ def cmd_census(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     report = markov.minimal_generator_census(
         args.leaves, args.max_degree, face,
-        member_budget=args.member_budget,
-        shards=args.shards,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr))
     payload = report.to_json()
     payload["elapsed_s"] = round(time.perf_counter() - t0, 3)
@@ -125,7 +123,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
         res = markov.connectivity_check(
             args.leaves, args.max_table_degree, args.move_degree, face,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    except groups.ProfileKeyTooWide as exc:
+    except (SizeLimitExceeded, groups.ProfileKeyTooWide) as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = res.to_json()
@@ -140,9 +138,8 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 def cmd_hilbert(args: argparse.Namespace) -> int:
     face = _face(args)
     try:
-        rec = hilbert.build_record(args.leaves, face, args.max_dilation,
-                                   max_layer=args.max_layer)
-    except hilbert.DilationBudgetExceeded as exc:
+        rec = hilbert.build_record(args.leaves, face, args.max_dilation)
+    except SizeLimitExceeded as exc:
         print(f"stopped: {exc}")
         return EXIT_BUDGET
     payload = rec.to_json()
@@ -250,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--face")
-    p.add_argument("--shards", type=int, default=0,
-                   help="spill shards for degrees past the member budget "
-                        "(0 = stop there)")
-    p.add_argument("--member-budget", type=int, default=60_000_000,
-                   help="largest multiset count of a degree counted by "
-                        "the orbit route")
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 
@@ -271,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=int, required=True)
     p.add_argument("--face")
     p.add_argument("--max-dilation", type=int, required=True)
-    p.add_argument("--max-layer", type=int, default=30_000_000,
-                   help="stop (exit 2) once a dilation k has more than this "
-                        "many lattice points H(k), before building k+1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hilbert)
 

@@ -27,26 +27,21 @@ from . import groups, markov
 from .groups import FaceSpec
 
 
-class DilationBudgetExceeded(Exception):
-    """A dilation has more than max_layer lattice points."""
-
-
 # ---------------------------------------------------------------------------
 # dilation counts
 # ---------------------------------------------------------------------------
 
 def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
-                   *, max_layer: int = 30_000_000,
-                   layer_s: Optional[list[float]] = None,
+                   *, layer_s: Optional[list[float]] = None,
                    orbits: Optional[list[int]] = None) -> list[int]:
     """H(0..kmax): number of distinct degree-k table profiles.
 
     Valid as the Ehrhart/Hilbert function because the polytope is normal.
     The distinct profiles are the fibers, so H(k) is the sum of the sizes
-    of the degree-k fiber orbits of `markov.orbit_layers`.  Raises
-    DilationBudgetExceeded once some H(k) passes max_layer, before the
-    next dilation is built.  Appends per-dilation seconds to layer_s and
-    orbit counts to orbits.
+    of the degree-k fiber orbits of `markov.orbit_layers`.  Appends
+    per-dilation seconds to layer_s and orbit counts to orbits.  Raises
+    `moves.SizeLimitExceeded` where a dilation's candidates pass the orbit
+    route's size limit, before that dilation is built.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -60,9 +55,6 @@ def hilbert_values(n: int, face: Optional[FaceSpec], kmax: int,
             layer_s.append(time.perf_counter() - t0)
         if orbits is not None:
             orbits.append(len(orb.sizes))
-        if values[-1] > max_layer:
-            raise DilationBudgetExceeded(
-                f"dilation {k}: {values[-1]} profiles, more than {max_layer}")
     return values
 
 
@@ -204,13 +196,11 @@ class HilbertRecord:
                 "orbits": orbits}
 
 
-def build_record(n: int, face: Optional[FaceSpec], kmax: int,
-                 *, max_layer: int = 30_000_000) -> HilbertRecord:
+def build_record(n: int, face: Optional[FaceSpec], kmax: int) -> HilbertRecord:
     dim = polytope_dimension(n, face)
     layer_s: list[float] = []
     orbits: list[int] = []
-    values = hilbert_values(n, face, kmax, max_layer=max_layer,
-                            layer_s=layer_s, orbits=orbits)
+    values = hilbert_values(n, face, kmax, layer_s=layer_s, orbits=orbits)
     rec = HilbertRecord(n, str(face or ""), dim, values, layer_s=layer_s,
                         orbits=orbits)
     if kmax >= dim:

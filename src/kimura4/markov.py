@@ -28,16 +28,17 @@ chunk at once as arrays (`moves.witness_fibers`), labels their components
 with the min-label flood and weights each fiber's components by its orbit
 size.  Every run
 checks that orbit size times fiber size sums to all C(V+d-1, d) multisets.
-Connectivity and every census degree of at most `member_budget` multisets
-take this route, and the orbit sizes of a degree sum to its Hilbert value
-(`hilbert.hilbert_values`).
+The orbit sizes of a degree sum to its Hilbert value
+(`hilbert.hilbert_values`).  One size limit, `moves.MAX_CELLS`, bounds the
+route's largest arrays: a degree's candidates before they are built and a
+chunk's fiber states after each level.
 
-Past the budget, a census degree goes through the sharded spill kernel when
-shards are asked for: a stream of keyed multisets is split by a hash of the
-profile key into shard files on disk, so every fiber lies in one shard; the
-kernel numbers each shard's fibers and unions members through hashed shared
-sub-multisets with a vectorized min-label flood.  A small dict-based
-reference route cross-checks both at toy scale.
+With shards, a census degree of more than `member_budget` multisets goes
+through the sharded spill kernel: a stream of keyed multisets is split by a
+hash of the profile key into shard files on disk, so every fiber lies in
+one shard; the kernel numbers each shard's fibers and unions members
+through hashed shared sub-multisets with a vectorized min-label flood.  A
+small dict-based reference route cross-checks both at toy scale.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
     candidate.  An orbit's size is |H| / |Stab|, where |Stab| is the
     number of (coset, translation) pairs reaching the canonical form
     times, for each run of equal columns in it, the factorial of the
-    run's length.
+    run's length.  `moves.check_cells` takes each degree's candidates x n.
     """
     v = len(flows)
     sym = groups.column_symbols(flows, n).astype(np.int64)
@@ -437,6 +438,7 @@ def orbit_layers(flows: np.ndarray, n: int) -> Iterator[Orbits]:
                            for cols in cosets]).transpose(1, 0, 2)
     rows = np.zeros((1, 0), dtype=np.int64)  # the empty multiset
     for d in itertools.count(1):
+        moves.check_cells(len(rows) * v * n, f"degree {d}: candidates")
         rank, offset, *tables = _degree_tables(kind_image, coset_maps, d)
         bits = (int(offset.max()) + tables[0].shape[2] - 1).bit_length()
         # candidate r * v + f is witness r plus flow f; each column's
@@ -742,17 +744,12 @@ def _census_degree(n: int, d: int, flows: np.ndarray,
     t0 = time.perf_counter()
     v = len(flows)
     m_total = math.comb(v + d - 1, d)
-    if m_total > member_budget and shards <= 0:
-        raise MemoryError(
-            f"degree {d}: {m_total} multisets exceed budget {member_budget}; "
-            f"rerun with shards")
-    key1 = groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
-    # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
-    if m_total <= member_budget:
+    if shards <= 0 or m_total <= member_budget:
+        # adjacency under proper moves (degree <= d-1) is row sharing, t = 1
         return _orbit_sweep(layers, flows, d, 1)
+    key1 = groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
     fibers = components = largest = 0
-    base = cache_dir or os.environ.get("KIMURA_CACHE_DIR") or None
-    with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=base,
+    with tempfile.TemporaryDirectory(prefix="kimura4-census-", dir=cache_dir,
                                      ignore_cleanup_errors=True) as tmpdir:
         for keys, rows in _buckets(v, d, key1, shards, tmpdir, progress):
             starts, roots = _components(keys, rows, v)
@@ -773,10 +770,10 @@ def minimal_generator_census(n: int, max_degree: int,
                              ) -> CensusReport:
     """Minimal-generator counts per degree 2..max_degree.
 
-    Degrees of at most member_budget multisets go through the orbit route.
-    Larger ones go through the sharded spill kernel when shards > 0 (spill
-    directory: cache_dir or KIMURA_CACHE_DIR or a tempdir), and otherwise
-    stop the report early with a budget note.
+    With shards > 0, degrees of more than member_budget multisets go
+    through the sharded spill kernel (in cache_dir, else a tempdir), and
+    the rest through the orbit route.  A size limit stops the report early,
+    with a note.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -787,7 +784,7 @@ def minimal_generator_census(n: int, max_degree: int,
         try:
             row = _census_degree(n, d, flows, layers, member_budget, shards,
                                  cache_dir, progress)
-        except (MemoryError, ProfileKeyTooWide) as exc:
+        except (moves.SizeLimitExceeded, ProfileKeyTooWide) as exc:
             report.complete = False
             report.note = str(exc)
             break
@@ -843,7 +840,8 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
     For larger d one fiber per orbit is split into components of members
     sharing d - move_degree rows; a fiber is connected exactly when the
     other fibers of its orbit are.  On failure the witness is a compatible
-    pair no degree-<=move_degree trace joins.
+    pair no degree-<=move_degree trace joins.  Raises
+    `moves.SizeLimitExceeded` past the orbit route's size limit.
     """
     res = ConnectivityResult(True, n, str(face or ""), max_table_degree,
                              move_degree)
@@ -853,7 +851,6 @@ def connectivity_check(n: int, max_table_degree: int, move_degree: int = 4,
         if d <= move_degree:
             res.checked.append(d)
             continue
-        groups.profile_keys(flows, n, d)  # ProfileKeyTooWide past 62 bits
         row = res.degrees[d] = _orbit_sweep(layers, flows, d, d - move_degree)
         res.checked.append(d)
         if progress:

@@ -263,6 +263,23 @@ def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
               r, prefix + (v,), left - 1, guard, row_of, cap, runs)
 
 
+# The most elements one orbit-route array may hold: a degree's candidate
+# codes (`markov.orbit_layers`) or a chunk's fiber states (`witness_fibers`),
+# measured at about 10 and 20 bytes each at their peaks (README, "Notes on
+# scale").
+MAX_CELLS = 100_000_000
+
+
+class SizeLimitExceeded(Exception):
+    """An array of the orbit route would hold more than MAX_CELLS elements."""
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Raise SizeLimitExceeded if `cells` is over MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise SizeLimitExceeded(f"{what}: {cells} cells, more than {MAX_CELLS}")
+
+
 def _cell_mask(cells: np.ndarray) -> np.ndarray:
     """Each row of a (m, 4n) bool array of (column, symbol) cells as one
     uint64 bit mask (n <= 16)."""
@@ -288,6 +305,7 @@ def witness_fibers(witnesses: np.ndarray, flows: np.ndarray, n: int
     fits when each of its (column, symbol) cells still has a count, one
     test on bit masks of the cells.  Candidates are tested in blocks of
     about k * v, the size of the pool test, which bounds the working set.
+    After each level, `check_cells` takes the states x (4n counts + rows).
     """
     k, d = witnesses.shape
     v = len(flows)
@@ -331,6 +349,7 @@ def witness_fibers(witnesses: np.ndarray, flows: np.ndarray, n: int
         wid, prefix = wid[parent], np.column_stack([prefix[parent], f])
         counts = counts[parent] - onehot[f]
         mask = _cell_mask(counts > 0)
+        check_cells(counts.size + prefix.size, f"degree {d}: fiber states")
     # one count is left per column, so the mask is the last row's cells
     by_bits = np.argsort(bits).astype(np.int32)
     last = by_bits[np.searchsorted(bits, mask, sorter=by_bits)]

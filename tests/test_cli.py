@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kimura4 import moves
 from kimura4.cli import main
 from kimura4.moves import read_trace
 from kimura4.tables import Table, pair_to_json
@@ -10,6 +11,8 @@ ROUTINE_KEYS = {f"{r}_{unit}" for r in ("pinch", "pair_search", "fiber_build")
                 for unit in ("calls", "s")}
 PAIR = pair_to_json(Table.from_strings(["aa00", "0bb0", "c00c"]),
                     Table.from_strings(["0000", "cab0", "ab0c"]))
+# forbids every nonzero symbol of n=13, leaving the zero flow alone
+ONE_FLOW_13 = ",".join(f"{c}:{g}" for c in range(1, 14) for g in "abc")
 
 
 def test_flows_count_only(capsys):
@@ -98,32 +101,53 @@ def test_census_cli(tmp_path, capsys):
     assert payload["peak_rss_mb"] > 0
 
 
-def test_census_cli_budget_exit_code(tmp_path):
-    rc = main(["census", "--leaves", "4", "--max-degree", "5",
-               "--member-budget", "10000"])
-    assert rc == 2
+def test_census_cli_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # no multiset budget: degree 7 (1.2e9 multisets) runs at the defaults
+    out = tmp_path / "census.json"
+    assert main(["census", "--leaves", "4", "--max-degree", "7",
+                 "--out", str(out)]) == 0
+    got = {row["degree"]: row["generators"]
+           for row in json.loads(out.read_text())["degrees"]}
+    assert got == {2: 360, 3: 256, 4: 480, 5: 0, 6: 0, 7: 0}
+    # n=3 degree 5 has 23 degree-4 orbits x 16 flows x 3 columns candidates
+    monkeypatch.setattr(moves, "MAX_CELLS", 1000)
+    assert main(["census", "--leaves", "3", "--max-degree", "5",
+                 "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["complete"] is False and len(payload["degrees"]) == 3
+    assert payload["note"] == ("degree 5: candidates: 1104 cells, "
+                               "more than 1000")
+    assert "(partial: degree 5: candidates" in capsys.readouterr().out
 
 
 def test_census_cli_key_width_is_partial(tmp_path, capsys):
-    # n=13 keys need 13 * 5 bits at degree 2; the face leaves one flow
-    face = ",".join(f"{c}:{g}" for c in range(1, 14) for g in "abc")
+    # n=13 profile keys would need 13 * 5 bits at degree 2, but the orbit
+    # route builds none
     out = tmp_path / "census.json"
-    rc = main(["census", "--leaves", "13", "--max-degree", "2",
-               "--face", face, "--out", str(out)])
-    assert rc == 2
+    assert main(["census", "--leaves", "13", "--max-degree", "3",
+                 "--face", ONE_FLOW_13, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["complete"] is False and payload["degrees"] == []
-    assert "65 bits" in payload["note"]
-    assert "partial: degree 2" in capsys.readouterr().out
+    assert payload["complete"] is True and payload["note"] == ""
+    assert [(row["degree"], row["generators"], row["orbits"])
+            for row in payload["degrees"]] == [(2, 0, 1), (3, 0, 1)]
 
 
 def test_connectivity_cli_key_width_exit_code(capsys):
-    # 13 columns of 8-bit counts at degree 5; the face leaves one flow
-    face = ",".join(f"{c}:{g}" for c in range(1, 14) for g in "abc")
-    rc = main(["connectivity", "--leaves", "13", "--face", face,
+    # 13 columns of 8-bit counts at degree 5: no key is built
+    rc = main(["connectivity", "--leaves", "13", "--face", ONE_FLOW_13,
                "--max-table-degree", "5"])
-    assert rc == 2
-    assert "stopped: degree 5" in capsys.readouterr().out
+    assert rc == 0
+    assert "all connected" in capsys.readouterr().out
+
+
+def test_connectivity_cli_size_limit_exit_code(capsys, monkeypatch):
+    # degree 5's states stay within 5000 cells; degree 6's pass it at
+    # their second row
+    monkeypatch.setattr(moves, "MAX_CELLS", 5000)
+    assert main(["connectivity", "--leaves", "3",
+                 "--max-table-degree", "7"]) == 2
+    assert capsys.readouterr().out == (
+        "stopped: degree 6: fiber states: 7518 cells, more than 5000\n")
 
 
 def test_connectivity_cli(tmp_path, capsys):
@@ -151,17 +175,21 @@ def test_hilbert_cli(tmp_path):
     assert rec["peak_rss_mb"] > 0
 
 
-def test_hilbert_cli_key_width_exit_code(capsys):
-    # the default --max-layer (3e7 profiles) stops n=6 at dilation 4,
-    # whose H(4) = 424014793
-    assert main(["hilbert", "--leaves", "6", "--max-dilation", "10"]) == 2
-    assert "stopped: dilation 4:" in capsys.readouterr().out
+def test_hilbert_cli_runs_past_old_layer_budget(tmp_path):
+    # no H(k) budget: n=6 goes past H(4) = 424014793
+    out = tmp_path / "rec.json"
+    assert main(["hilbert", "--leaves", "6", "--max-dilation", "5",
+                 "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["values"][4:] == [424014793, 7251724288]
+    assert rec["orbits"] == [1, 9, 52, 649, 4585]
 
 
-def test_hilbert_cli_layer_budget_exit_code(capsys):
-    assert main(["hilbert", "--leaves", "3", "--max-dilation", "5",
-                 "--max-layer", "3610"]) == 2
-    assert "dilation 4" in capsys.readouterr().out
+def test_hilbert_cli_layer_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(moves, "MAX_CELLS", 1103)
+    assert main(["hilbert", "--leaves", "3", "--max-dilation", "5"]) == 2
+    assert capsys.readouterr().out == (
+        "stopped: degree 5: candidates: 1104 cells, more than 1103\n")
 
 
 def test_series_cli_bundled(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kimura4 import groups, hilbert
+from kimura4 import groups, hilbert, moves
 from kimura4.hilbert import (bundled_hilbert_polynomial, bundled_series,
                              build_record, eval_poly, expand_series,
                              fit_ehrhart, h_numerator, hilbert_values,
@@ -180,8 +180,7 @@ def test_n4_h_numerator_pinned():
     assert h_numerator(values, 12) == N4_H
     rec = hilbert.HilbertRecord(4, "", 12, values, h_coeffs=N4_H)
     assert regularity_bound(rec) == 10
-    # the default max_layer refuses dilation 7 (H(7) = 33252352)
-    assert hilbert_values(4, None, 8, max_layer=10**9) == values[:9]
+    assert hilbert_values(4, None, 8) == values[:9]
 
 
 def test_n3_record_full():
@@ -210,33 +209,26 @@ def test_face_records_h1_and_dimension():
         assert vals[1] == verts
 
 
-def test_dilation_budget():
-    with pytest.raises(hilbert.DilationBudgetExceeded):
-        hilbert_values(4, None, 8, max_layer=10_000)
-
-
-def test_dilation_budget_boundary_mid_layer():
-    # n=3: H(4) = 3611 and H(5) = 13328; the budget bounds H(k) itself
-    assert hilbert_values(3, None, 5, max_layer=13328)[-1] == 13328
-    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 5"):
-        hilbert_values(3, None, 5, max_layer=13327)
-    # a dilation over budget stops the run before the next one is built
+def test_dilation_budget_boundary_mid_layer(monkeypatch):
+    # n=3 dilation 5 has 23 degree-4 orbits x 16 flows x 3 columns = 1104
+    # candidate cells; the limit bounds them, not H(k)
+    monkeypatch.setattr(moves, "MAX_CELLS", 1104)
+    assert hilbert_values(3, None, 5)[-1] == 13328
+    # one cell less refuses dilation 5 before building it
+    monkeypatch.setattr(moves, "MAX_CELLS", 1103)
     layer_s = []
-    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 4:"):
-        hilbert_values(3, None, 5, max_layer=3610, layer_s=layer_s)
+    with pytest.raises(moves.SizeLimitExceeded,
+                       match="^degree 5: candidates: 1104 cells, more than "
+                             "1103$"):
+        hilbert_values(3, None, 5, layer_s=layer_s)
     assert len(layer_s) == 4
 
 
 def test_profile_key_width_boundary():
-    # no profile-key width limit: n=6 to dilation 10 (66-bit keys) stops
-    # on the default budget at H(4) = 424014793, not on the key width
-    with pytest.raises(hilbert.DilationBudgetExceeded, match="dilation 1:"):
-        hilbert_values(6, None, 9, max_layer=1000)
-    layer_s = []
-    with pytest.raises(hilbert.DilationBudgetExceeded,
-                       match="dilation 4: 424014793 profiles"):
-        hilbert_values(6, None, 10, layer_s=layer_s)
-    assert len(layer_s) == 4
+    # no profile key is built: a one-flow n=13 face, whose keys would need
+    # 13 * 14 bits at dilation 20, has one profile per dilation
+    face = groups.FaceSpec((c, g) for c in range(13) for g in (1, 2, 3))
+    assert hilbert_values(13, face, 20) == [1] * 21
 
 
 def test_record_orbit_counts():

@@ -85,10 +85,23 @@ def test_census_sharded_matches_in_memory():
     assert sharded == ref
 
 
-def test_census_budget_exceeded_partial():
-    rep = minimal_generator_census(4, 5, member_budget=10_000)
+def test_census_budget_exceeded_partial(monkeypatch):
+    # n=3 degree 5: 1104 candidate cells, then fiber states of 2324 cells
+    monkeypatch.setattr(moves, "MAX_CELLS", 2000)
+    rep = minimal_generator_census(3, 6)
     assert not rep.complete
-    assert 2 not in rep.counts() or rep.counts()[2] == 360
+    assert rep.counts() == {2: 0, 3: 16, 4: 18}
+    assert rep.note.startswith("degree 5: fiber states: ")
+
+
+def test_spill_route_refuses_wide_profile_key():
+    # only the spill kernel builds profile keys: with shards, n=13 needs
+    # 13 * 5 bits at degree 2, where the orbit route runs
+    face = groups.FaceSpec((c, g) for c in range(13) for g in (1, 2, 3))
+    assert minimal_generator_census(13, 2, face).counts() == {2: 0}
+    rep = minimal_generator_census(13, 2, face, member_budget=0, shards=2)
+    assert not rep.complete and rep.rows == []
+    assert "65 bits" in rep.note
 
 
 def test_degree2_census_identity_all_n_and_faces():

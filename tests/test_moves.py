@@ -160,6 +160,25 @@ def test_batch_fibers_one_witness_at_a_time():
                     profile_fiber(rows.tolist(), n), (n, str(face))
 
 
+def test_witness_fiber_states_limit_boundary(monkeypatch):
+    # a degree-2 search has one level: its states are the pool flows that
+    # carry the lesser column-0 symbol, each holding 4n counts and a row
+    n, flows = 4, groups.flows_array(4)
+    rows = [groups.parse_flow(r) for r in ("aabb", "bbaa")]
+    cells = {(i, groups.entry(r, i, n)) for r in rows for i in range(n)}
+    sym0 = min(groups.entry(r, 0, n) for r in rows)
+    states = [f for f in flows.tolist() if groups.entry(f, 0, n) == sym0
+              and all((i, groups.entry(f, i, n)) in cells for i in range(n))]
+    limit = len(states) * (4 * n + 1)
+    monkeypatch.setattr(moves, "MAX_CELLS", limit)
+    _, members = moves.witness_fibers(np.array([rows]), flows, n)
+    assert list(map(tuple, flows[members].tolist())) == profile_fiber(rows, n)
+    monkeypatch.setattr(moves, "MAX_CELLS", limit - 1)
+    with pytest.raises(moves.SizeLimitExceeded,
+                       match=f"^degree 2: fiber states: {limit} cells"):
+        moves.witness_fibers(np.array([rows]), flows, n)
+
+
 def test_profile_fiber_cap_boundary():
     for n, s in ((4, 2), (4, 3), (4, 4), (5, 3)):
         rng = random.Random(s)
