@@ -470,7 +470,9 @@ def _share_labels(wid: np.ndarray, members: np.ndarray, t: int, v: int
     size-t sub-multiset of rows), so only members of one fiber meet.  Two
     members of a fiber share t rows iff one move of degree <= d-t joins
     them; no move has degree < 2, so with d - t < 2 each member is alone.
-    A member's label is the least index of its component.
+    A member's label is the least index of its component.  Raises
+    `moves.SizeLimitExceeded` before building the C(d, t) keys per member
+    if they pass the size limit.
     """
     m, d = members.shape
     labels = np.arange(m)
@@ -480,6 +482,7 @@ def _share_labels(wid: np.ndarray, members: np.ndarray, t: int, v: int
     if ((int(wid[-1]) + 1) << (t * row_bits)).bit_length() > 63:
         raise ProfileKeyTooWide(
             f"degree {d}: a {t}-row node key needs more than 63 bits")
+    moves.check_cells(math.comb(d, t) * m, f"degree {d}: node keys")
     keys = np.empty((math.comb(d, t), m), dtype=np.int64)
     for s, cols in enumerate(itertools.combinations(range(d), t)):
         keys[s] = wid

@@ -264,9 +264,9 @@ def _grow(out: list[tuple[int, ...]], cands: list[tuple[int, int]], rem: int,
 
 
 # The most elements one orbit-route array may hold: a degree's candidate
-# codes (`markov.orbit_layers`) or a chunk's fiber states (`witness_fibers`),
-# measured at about 10 and 20 bytes each at their peaks (README, "Notes on
-# scale").
+# codes (`markov.orbit_layers`), a chunk's fiber states (`witness_fibers`)
+# or a chunk's node keys (`markov._share_labels`), measured at about 10 and
+# 20 bytes each for the first two at their peaks (README, "Notes on scale").
 MAX_CELLS = 100_000_000
 
 
@@ -414,51 +414,57 @@ class FiberCache:
         return members
 
 
-def neighbors(t: Table, max_deg: int, cache: Optional[FiberCache] = None,
+def exchanges(rows: tuple[int, ...], n: int, max_deg: int,
+              cache: Optional[FiberCache] = None,
               *, fiber_cap: Optional[int] = None
-              ) -> Iterator[tuple[Move, Table]]:
-    """All tables one legal move of degree <= max_deg away, each once.
+              ) -> Iterator[tuple[tuple[int, ...], list[int],
+                                  list[tuple[int, ...]]]]:
+    """(sub-multiset, the rows it leaves, its replacement fiber) for each
+    distinct sub-multiset of 2..max_deg of the sorted `rows`.
 
-    Sub-multisets are enumerated in canonical combination order and results
-    deduplicated by the canonical table key.  Size-1 selections are skipped
-    outright (no non-trivial single-row replacement exists).  Fibers over
-    `fiber_cap` members are skipped.
+    Sub-multisets come in canonical combination order.  Size-1 selections
+    are skipped outright (no non-trivial single-row replacement exists),
+    and so are fibers over `fiber_cap` members.  The fiber holds the
+    sub-multiset itself.
     """
     if max_deg < 2:
         raise ValueError("moves need degree >= 2")
     cache = cache or FiberCache()
-    seen: set[tuple[int, ...]] = set()
-    rows = t.rows
-    d = len(rows)
-    for s in range(2, min(max_deg, d) + 1):
-        for idx in _distinct_index_combos(rows, s):
-            sub = tuple(rows[i] for i in idx)
+    for s in range(2, min(max_deg, len(rows)) + 1):
+        subs: set[tuple[int, ...]] = set()
+        for idx in itertools.combinations(range(len(rows)), s):
+            sub = tuple([rows[i] for i in idx])
+            if sub in subs:
+                continue
+            subs.add(sub)
             try:
-                fiber = cache.fiber_for(sub, t.n, cap=fiber_cap)
+                fiber = cache.fiber_for(sub, n, cap=fiber_cap)
             except FiberTooLarge:
                 continue
             keep = list(rows)
             for i in reversed(idx):
                 del keep[i]
-            for repl in fiber:
-                if repl == sub:
-                    continue
-                new_rows = tuple(sorted(keep + list(repl)))
-                if new_rows == rows or new_rows in seen:
-                    continue
+            yield sub, keep, fiber
+
+
+def neighbors(t: Table, max_deg: int, cache: Optional[FiberCache] = None,
+              *, fiber_cap: Optional[int] = None
+              ) -> Iterator[tuple[Move, Table]]:
+    """All tables one legal move of degree <= max_deg away, each once.
+
+    The moves are the `exchanges` of t's rows, in their order; a table
+    reached again is skipped.
+    """
+    seen: set[tuple[int, ...]] = set()
+    for sub, keep, fiber in exchanges(t.rows, t.n, max_deg, cache,
+                                      fiber_cap=fiber_cap):
+        for repl in fiber:
+            if repl == sub:
+                continue
+            new_rows = tuple(sorted(keep + list(repl)))
+            if new_rows not in seen:
                 seen.add(new_rows)
                 yield Move(sub, repl, t.n), Table(new_rows, t.n)
-
-
-def _distinct_index_combos(rows: Sequence[int], s: int) -> Iterator[tuple[int, ...]]:
-    """Index combinations yielding distinct sub-multisets of the sorted rows."""
-    seen: set[tuple[int, ...]] = set()
-    for idx in itertools.combinations(range(len(rows)), s):
-        sub = tuple(rows[i] for i in idx)
-        if sub in seen:
-            continue
-        seen.add(sub)
-        yield idx
 
 
 # ---------------------------------------------------------------------------

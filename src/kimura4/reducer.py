@@ -7,14 +7,15 @@ in one move, a quadratic pinch pulls the closest rows together, and
 otherwise the step depends on the minimal cross distance k.  At k >= 4 and
 k = 3 (the abc string) a search runs until the pair potential drops; at
 k = 2 it runs until the tables share one more row.  Each step is one
-best-first search over the legal moves of `moves.neighbors`, and all of a
-reduction's searches spend one node budget.  A search whose frontier
+best-first search over the legal exchanges of `moves.exchanges`, and all
+of a reduction's searches spend one node budget.  A search whose frontier
 empties is a strategy gap: its case label is logged and the reduction ends
-unreduced.  A search scores each child once, from its parent's per-row
-nearest distances (`NearestRows`).  Every returned trace is
-replay-validated; an invalid trace is never returned.  Column merging with
-trace lifting (`merge_columns`) is a library utility that reduce_pair does
-not call.
+unreduced.  A search tests each exchange for the goal by the rows it
+inserts, and builds and scores children, each once from its parent's
+per-row nearest distances (`NearestRows`), only when an expansion holds
+no goal.  Every returned trace is replay-validated; an invalid trace is
+never returned.  Column merging with trace lifting (`merge_columns`) is a
+library utility that reduce_pair does not call.
 
 Reduction itself is deterministic; randomness only enters the fuzz-pair
 samplers, which draw everything from one seeded generator.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import groups
-from .moves import (FiberCache, Move, TraceStep, apply_move, neighbors,
+from .moves import (FiberCache, Move, TraceStep, apply_move, exchanges,
                     profile_fiber, replay_trace, trace_is_valid)
 from .tables import Table, column_mask, compatible
 
@@ -51,11 +52,12 @@ class StrategyGap(Exception):
 @dataclass
 class Budget:
     """The node budget a reduction's searches share; it also tallies the
-    searches' calls and seconds."""
+    searches' calls, seconds and scored children."""
 
     nodes: int
     searches: int = 0
     search_s: float = 0.0
+    children: int = 0
 
     def spend(self, k: int = 1) -> None:
         self.nodes -= k
@@ -75,7 +77,8 @@ class Diagnostics:
     # "<routine>_calls" and "<routine>_s", timed per call, of the routines
     # "pinch" (the quadratic pinch), "pair_search" and "fiber_build" (the
     # replacement-fiber builds of FiberCache lookups not answered from its
-    # table); reduce_pair fills it
+    # table), and "children_scored", the children the searches built and
+    # scored; reduce_pair fills it
     routines: dict = field(default_factory=dict)
 
     def search_counts(self) -> dict[str, int]:
@@ -185,46 +188,65 @@ SearchState = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class NearestRows:
-    """Each side-0 row's least Hamming distance to side 1, for the states of
-    one search, updated child by child.
+    """Least Hamming distances from rows to the sides of one search's
+    states, updated child by child.
 
-    The distances are kept per side-1 tuple: `to_side1[rb]` maps every row
-    scanned against rb to its least distance there.  A side-0 child keeps
-    side 1, so it looks its kept rows up and scans only the <= 4 rows it
-    inserts.  A side-1 child keeps side 0: each side-0 row's distance
-    becomes the least of its parent's and its distances to the inserted
-    rows, except that a row whose minimum a removed row may have held, and
-    no inserted row reaches, is rescanned against the new side 1.  Those
-    row-to-row distances are memoised per side-0 tuple, one column per
-    side-1 row.  A side-1 child's distances are stored only when it joins
-    the frontier (`keep`).
+    `to_rows[side]` maps every row scanned against the sorted row tuple
+    `side` to its least distance there; a state's side-0 rows are kept
+    against its side 1.  `reaches` tests a child for the goal by the rows
+    it inserts.  A side-0 child keeps side 1, so it looks its kept rows up
+    and scans only the <= 4 rows it inserts.  A side-1 child keeps side 0:
+    each side-0 row's distance becomes the least of its parent's and its
+    distances to the inserted rows, except that a row whose minimum a
+    removed row may have held, and no inserted row reaches, is rescanned
+    against the new side 1.  Those row-to-row distances are memoised per
+    side-0 tuple, one column per side-1 row.  A side-1 child's distances
+    are stored only when it joins the frontier (`keep`).
     """
 
     def __init__(self, ra: tuple[int, ...], rb: tuple[int, ...], n: int):
         self.mask = column_mask(n)
         self.start = _nearest(ra, rb, n)
-        self.to_side1: dict[tuple[int, ...], dict[int, int]] = {
+        self.to_rows: dict[tuple[int, ...], dict[int, int]] = {
             rb: dict(zip(ra, self.start))}
         self.columns: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         self._state: Optional[SearchState] = None
         self._old: list[int] = []
 
-    def child(self, state: SearchState, side: int, move: Move,
-              rows: tuple[int, ...]) -> list[int]:
+    def reaches(self, side: tuple[int, ...], rows: Sequence[int],
+                below: int) -> bool:
+        """Whether one of `rows` lies closer than `below` to a row of
+        `side`."""
+        near = self.to_rows.get(side)
+        if near is None:
+            near = self.to_rows[side] = {}
+        m = self.mask
+        for x in rows:
+            k = near.get(x)
+            if k is None:
+                k = near[x] = min([(((z := x ^ y) | z >> 1) & m).bit_count()
+                                   for y in side])
+            if k < below:
+                return True
+        return False
+
+    def child(self, state: SearchState, side: int, removed: tuple[int, ...],
+              inserted: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
         """The least distances of a child's side-0 rows, in row order: the
-        child replaces side `side` of `state` by `rows` through `move`."""
+        child replaces side `side` of `state` by `rows`, exchanging
+        `removed` for `inserted`."""
         ra, rb = state
         m = self.mask
         if side == 0:
-            near = self.to_side1[rb]
-            for x in move.inserted:
+            near = self.to_rows[rb]
+            for x in inserted:
                 if x not in near:
                     near[x] = min([(((z := x ^ y) | z >> 1) & m).bit_count()
                                    for y in rb])
             return list(map(near.__getitem__, rows))
         if state is not self._state:
             self._state = state
-            self._old = list(map(self.to_side1[rb].__getitem__, ra))
+            self._old = list(map(self.to_rows[rb].__getitem__, ra))
         cols = self.columns.setdefault(ra, {})
 
         def column(y: int) -> tuple[int, ...]:
@@ -234,10 +256,10 @@ class NearestRows:
                                      for x in ra])
             return c
 
-        inserted = map(min, *map(column, move.inserted))
-        removed = map(min, *map(column, move.removed))
+        to_ins = map(min, *map(column, inserted))
+        to_rem = map(min, *map(column, removed))
         out = []
-        for j, (old, ins, rem) in enumerate(zip(self._old, inserted, removed)):
+        for j, (old, ins, rem) in enumerate(zip(self._old, to_ins, to_rem)):
             if ins <= old:
                 out.append(ins)
             elif rem > old:  # a kept row still holds the minimum
@@ -248,7 +270,12 @@ class NearestRows:
 
     def keep(self, state: SearchState, dists: Sequence[int]) -> None:
         """Store the distances of a state that joins the frontier."""
-        self.to_side1.setdefault(state[1], {}).update(zip(state[0], dists))
+        self.to_rows.setdefault(state[1], {}).update(zip(state[0], dists))
+
+
+# A frontier state's parent, the side it changed, and the rows that side
+# exchanged: (parent, side, removed, inserted).
+Parent = tuple[SearchState, int, tuple[int, ...], tuple[int, ...]]
 
 
 def pair_search(a: Table, b: Table, *, below: int, budget: Budget,
@@ -264,9 +291,15 @@ def pair_search(a: Table, b: Table, *, below: int, budget: Budget,
     share no row and are ranked by (degree, least, summed side-0 row
     distance).  Raises BudgetExhausted when the shared budget runs out,
     one node per expanded state.  A state's children are the
-    `moves.neighbors` of either side, moves of degree <= max_degree over
-    fibers of at most FIBER_CAP members; the best BEAM of them join the
-    frontier.  Each call adds to the budget's search count and seconds.
+    `moves.exchanges` of either side, moves of degree <= max_degree over
+    fibers of at most FIBER_CAP members.  An expanded state is no goal, so
+    its kept rows lie at least `below` from the other side, and a child is
+    a goal exactly when a row it inserts lies closer: each exchange is
+    tested by its inserted rows alone, in enumeration order, and the path
+    to the first that hits is returned.  Only an expansion without a goal
+    builds its children, skips those seen before, scores them and puts
+    the best BEAM on the frontier.  Each call adds to the budget's search
+    count, seconds and scored children.
     """
     if not a.rows or not set(a.rows).isdisjoint(b.rows):
         raise ValueError("pair_search needs non-empty tables sharing no row")
@@ -290,28 +323,40 @@ def _best_first(a: Table, b: Table, below: int, budget: Budget,
     counter = itertools.count()
     frontier: list[tuple[tuple, int, SearchState]] = [
         (_score(near.start), next(counter), start)]
-    parents: dict[SearchState, tuple[SearchState, TraceStep]] = {}
+    parents: dict[SearchState, Parent] = {}
     seen = {start}
+    reaches = near.reaches
     while frontier:
         budget.spend()
         _, _, state = heapq.heappop(frontier)
-        ra, rb = state
+        found = []
+        for side in (0, 1):
+            other = state[1 - side]
+            for sub, keep, fiber in exchanges(state[side], n, max_degree,
+                                              cache, fiber_cap=FIBER_CAP):
+                for repl in fiber:
+                    if repl != sub and reaches(other, repl, below):
+                        return _unwind(parents, start,
+                                       (state, side, sub, repl), n)
+                found.append((side, sub, keep, fiber))
         children = []
-        for side, rows in ((0, ra), (1, rb)):
-            for mv, nb in neighbors(Table(rows, n), max_degree, cache,
-                                    fiber_cap=FIBER_CAP):
-                child = (nb.rows, rb) if side == 0 else (ra, nb.rows)
+        for side, sub, keep, fiber in found:
+            for repl in fiber:
+                if repl == sub:
+                    continue
+                rows = tuple(sorted(keep + list(repl)))
+                child = (rows, state[1]) if side == 0 else (state[0], rows)
                 if child in seen:
                     continue
                 seen.add(child)
-                parents[child] = (state, TraceStep(side, mv))
-                dists = near.child(state, side, mv, nb.rows)
-                if min(dists) < below:
-                    return _unwind(parents, start, child)
-                children.append((_score(dists), next(counter), child, dists))
+                dists = near.child(state, side, sub, repl, rows)
+                children.append((_score(dists), next(counter), child, dists,
+                                 (state, side, sub, repl)))
+        budget.children += len(children)
         children.sort(key=lambda t: t[0])
-        for score, count, child, dists in children[:BEAM]:
+        for score, count, child, dists, parent in children[:BEAM]:
             near.keep(child, dists)
+            parents[child] = parent
             heapq.heappush(frontier, (score, count, child))
     return None
 
@@ -320,11 +365,17 @@ def _score(dists: Sequence[int]) -> tuple[int, int, int]:
     return len(dists), min(dists), sum(dists)
 
 
-def _unwind(parents, start: SearchState, state: SearchState) -> list[TraceStep]:
+def _unwind(parents: dict[SearchState, Parent], start: SearchState,
+            last: Parent, n: int) -> list[TraceStep]:
+    """The steps from `start` through the frontier states to the exchange
+    `last`."""
     path = []
-    while state != start:
-        state, step = parents[state]
-        path.append(step)
+    while True:
+        state, side, removed, inserted = last
+        path.append(TraceStep(side, Move(removed, inserted, n)))
+        if state == start:
+            break
+        last = parents[state]
     path.reverse()
     return path
 
@@ -660,6 +711,7 @@ def reduce_pair(t0: Table, t1: Table, *, max_degree: int = 4,
     diag.routines = {"pinch_calls": pinch_calls, "pinch_s": pinch_s,
                      "pair_search_calls": budget.searches,
                      "pair_search_s": budget.search_s,
+                     "children_scored": budget.children,
                      "fiber_build_calls": cache.builds,
                      "fiber_build_s": cache.build_s}
     if message:

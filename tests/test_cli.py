@@ -8,7 +8,7 @@ from kimura4.moves import read_trace
 from kimura4.tables import Table, pair_to_json
 
 ROUTINE_KEYS = {f"{r}_{unit}" for r in ("pinch", "pair_search", "fiber_build")
-                for unit in ("calls", "s")}
+                for unit in ("calls", "s")} | {"children_scored"}
 PAIR = pair_to_json(Table.from_strings(["aa00", "0bb0", "c00c"]),
                     Table.from_strings(["0000", "cab0", "ab0c"]))
 # forbids every nonzero symbol of n=13, leaving the zero flow alone
@@ -148,6 +148,16 @@ def test_connectivity_cli_size_limit_exit_code(capsys, monkeypatch):
                  "--max-table-degree", "7"]) == 2
     assert capsys.readouterr().out == (
         "stopped: degree 6: fiber states: 7518 cells, more than 5000\n")
+
+
+def test_connectivity_cli_node_keys_exit_code(capsys, monkeypatch):
+    # n=4 degree 7 with moves of degree <= 4: a chunk's fiber states hold
+    # at most 2652279 cells, its C(7, 3) node keys per member up to 2902340
+    monkeypatch.setattr(moves, "MAX_CELLS", 2_800_000)
+    assert main(["connectivity", "--leaves", "4",
+                 "--max-table-degree", "7"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "stopped: degree 7: node keys: ")
 
 
 def test_connectivity_cli(tmp_path, capsys):

@@ -94,6 +94,23 @@ def test_census_budget_exceeded_partial(monkeypatch):
     assert rep.note.startswith("degree 5: fiber states: ")
 
 
+def test_node_keys_limit_boundary(monkeypatch):
+    # the n=3 degree-6 fibers, joined where members share two rows (moves
+    # of degree <= 4): C(6, 2) node keys per member
+    flows = groups.flows_array(3)
+    orb = next(o for o in markov.orbit_layers(flows, 3) if o.degree == 6)
+    wid, members = moves.witness_fibers(orb.witnesses, flows, 3)
+    labels, rounds = markov._share_labels(wid, members, 2, len(flows))
+    cells = math.comb(6, 2) * len(members)
+    monkeypatch.setattr(moves, "MAX_CELLS", cells)
+    got, got_rounds = markov._share_labels(wid, members, 2, len(flows))
+    assert (got == labels).all() and got_rounds == rounds
+    monkeypatch.setattr(moves, "MAX_CELLS", cells - 1)
+    with pytest.raises(moves.SizeLimitExceeded,
+                       match=f"^degree 6: node keys: {cells} cells"):
+        markov._share_labels(wid, members, 2, len(flows))
+
+
 def test_spill_route_refuses_wide_profile_key():
     # only the spill kernel builds profile keys: with shards, n=13 needs
     # 13 * 5 bits at degree 2, where the orbit route runs

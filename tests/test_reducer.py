@@ -157,15 +157,26 @@ def test_reduce_hamming_ge4_rejects_small_k():
         reduce_hamming_ge4(T0_EX, T1_EX, Budget(100), FiberCache())
 
 
-def test_reduce_hamming_3_contract():
+def _stripped(t0, t1):
+    ra, rb = strip_common(t0.rows, t1.rows)
+    return Table(ra, t0.n), Table(rb, t0.n)
+
+
+def _abc_pairs():
+    # the first five stripped pairs of random_compatible_pair(6, 3,
+    # random.Random(77)) at minimal cross distance 3
     rng = random.Random(77)
+    taken = 0
+    while taken < 5:
+        sa, sb = _stripped(*random_compatible_pair(6, 3, rng))
+        if sa.rows and min_cross_k(sa.rows, sb.rows, 6) == 3:
+            taken += 1
+            yield sa, sb
+
+
+def test_reduce_hamming_3_contract():
     exercised = 0
-    while exercised < 5:
-        t0, t1 = random_compatible_pair(6, 3, rng)
-        ra, rb = strip_common(t0.rows, t1.rows)
-        if not ra or min_cross_k(ra, rb, 6) != 3:
-            continue
-        sa, sb = Table(ra, 6), Table(rb, 6)
+    for sa, sb in _abc_pairs():
         r0, r1, k = min_hamming_pair(sa, sb)
         # any distance-3 disagreement string is exactly {a, b, c}
         from kimura4.tables import hamming
@@ -180,6 +191,7 @@ def test_reduce_hamming_3_contract():
         ra2, rb2 = strip_common(a.rows, b.rows)
         assert not ra2 or min_cross_k(ra2, rb2, 6) <= 2
         exercised += 1
+    assert exercised == 5
 
 
 def test_reduce_hamming_3_rejects_other_k():
@@ -319,34 +331,36 @@ def test_strategy_gap_ends_reduction_after_one_search(monkeypatch):
 def test_search_scans_grow_with_states_not_children(monkeypatch):
     # full side-against-side scans and strip_common calls come once per
     # pass of reduce_pair's loop and once per search, however many
-    # children the search scores
+    # exchanges the search tests; a search that finds its goal in its
+    # first expansion builds the moves of its path alone and scores no
+    # child
     t0, t1 = _first_k2_pair()
     calls = Counter()
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(reducer, "_nearest",
                         counted("nearest", reducer._nearest))
     monkeypatch.setattr(reducer, "strip_common",
                         counted("strip", reducer.strip_common))
-    neighbors = reducer.neighbors
-
-    def counted_neighbors(*args, **kwargs):
-        for item in neighbors(*args, **kwargs):
-            calls["children"] += 1
-            yield item
-
-    monkeypatch.setattr(reducer, "neighbors", counted_neighbors)
+    built = counted("moves", Move)
+    monkeypatch.setattr(reducer, "Move", built)
+    monkeypatch.setattr(moves, "Move", built)
+    monkeypatch.setattr(reducer.NearestRows, "child",
+                        counted("children", reducer.NearestRows.child))
     res = reduce_pair(t0, t1)
     assert res.success
     passes = len(res.steps) + 1
     bound = 2 * passes + res.diagnostics.nodes_spent
     assert calls["nearest"] + calls["strip"] <= bound
-    assert calls["children"] > 20 * bound
+    assert res.diagnostics.nodes_spent == 1
+    assert calls["moves"] == len(res.steps)
+    assert calls["children"] == 0
+    assert res.diagnostics.routines["children_scored"] == 0
 
 
 def _rescored(state, n):
@@ -359,12 +373,10 @@ def _rescored(state, n):
         for x in ra]
 
 
-def test_nearest_rows_match_full_recompute():
-    # every child of the start and of the best child of each side, for
-    # random stripped pairs at n = 4..9, on both sides; side-1 children that
-    # remove a row's only nearest neighbours must be met
+def _nearest_rows_starts():
+    # two random stripped pairs of at least three rows at each n = 4..9,
+    # then the stripped GE4_PAIRS
     rng = random.Random(404)
-    children = rises = 0
     for n in range(4, 10):
         pairs = 0
         while pairs < 2:
@@ -373,43 +385,67 @@ def test_nearest_rows_match_full_recompute():
             if len(ra) < 3:
                 continue
             pairs += 1
-            near = reducer.NearestRows(ra, rb, n)
-            assert near.start == _rescored((ra, rb), n)[1]
-            cache = FiberCache()
-            todo = [((ra, rb), near.start)]
-            for _ in range(2):
-                best = {}
-                for state, old in todo:
-                    for side in (0, 1):
-                        for mv, nb in moves.neighbors(
-                                Table(state[side], n), 4, cache,
-                                fiber_cap=reducer.FIBER_CAP):
-                            child = ((nb.rows, state[1]) if side == 0
-                                     else (state[0], nb.rows))
-                            dists = near.child(state, side, mv, nb.rows)
-                            shared, full = _rescored(child, n)
-                            children += 1
-                            if shared:
-                                assert min(dists) == 0, (state, side, mv)
-                                continue
-                            assert dists == full, (state, side, mv)
-                            if side == 1:
-                                rises += any(map(int.__gt__, dists, old))
-                            score = (min(dists), sum(dists))
-                            if side not in best or score < best[side][0]:
-                                best[side] = (score, child, dists)
-                todo = []
-                for _, child, dists in best.values():
-                    near.keep(child, dists)
-                    todo.append((child, dists))
+            yield n, ra, rb
+    for rows0, rows1 in GE4_PAIRS:
+        t0, t1 = Table.from_strings(rows0), Table.from_strings(rows1)
+        yield 6, *strip_common(t0.rows, t1.rows)
+
+
+def test_nearest_rows_match_full_recompute():
+    # every child of the start and of the best child of each side, for
+    # stripped pairs at n = 4..9, on both sides; side-1 children that
+    # remove a row's only nearest neighbours must be met.  For each `below`
+    # up to its parent's least distance, as in a search, the goal test by
+    # the inserted rows must agree with the recomputed least distance
+    children = rises = 0
+    goals = Counter()
+    for n, ra, rb in _nearest_rows_starts():
+        near = reducer.NearestRows(ra, rb, n)
+        assert near.start == _rescored((ra, rb), n)[1]
+        cache = FiberCache()
+        todo = [((ra, rb), near.start)]
+        for _ in range(2):
+            best = {}
+            for state, old in todo:
+                for side in (0, 1):
+                    for mv, nb in moves.neighbors(
+                            Table(state[side], n), 4, cache,
+                            fiber_cap=reducer.FIBER_CAP):
+                        child = ((nb.rows, state[1]) if side == 0
+                                 else (state[0], nb.rows))
+                        dists = near.child(state, side, mv.removed,
+                                           mv.inserted, nb.rows)
+                        shared, full = _rescored(child, n)
+                        children += 1
+                        for below in range(1, min(min(old), 4) + 1):
+                            hit = near.reaches(state[1 - side],
+                                               mv.inserted, below)
+                            assert hit == (shared or min(full) < below), (
+                                state, side, mv, below)
+                            goals[below, hit] += 1
+                        if shared:
+                            assert min(dists) == 0, (state, side, mv)
+                            continue
+                        assert dists == full, (state, side, mv)
+                        if side == 1:
+                            rises += any(map(int.__gt__, dists, old))
+                        score = (min(dists), sum(dists))
+                        if side not in best or score < best[side][0]:
+                            best[side] = (score, child, dists)
+            todo = []
+            for _, child, dists in best.values():
+                near.keep(child, dists)
+                todo.append((child, dists))
     assert children > 5000 and rises > 100, (children, rises)
+    assert all(goals[below, hit] > 20 for below in range(1, 5)
+               for hit in (False, True)), goals
 
 
 def test_diagnostics_time_the_routines():
     rng = random.Random(8)
     searched = 0
     keys = {f"{r}_{unit}" for r in ("pinch", "pair_search", "fiber_build")
-            for unit in ("calls", "s")}
+            for unit in ("calls", "s")} | {"children_scored"}
     for _ in range(12):
         t0, t1 = random_compatible_pair(8, 8, rng)
         t = time.perf_counter()
@@ -455,28 +491,43 @@ def test_reduce_every_member_of_small_fibers():
     assert searched > 1000
 
 
+def reduce_witness_members(n, degrees):
+    """Reduce every member of every orbit witness's fiber of each degree in
+    `degrees` at n leaves to the fiber's least member, asserting a
+    replay-valid trace and no fallback each time; returns (fibers, member
+    pairs, searches).  The n=4 degree-7 run, too slow for the suite:
+    PYTHONPATH=src:tests python3 -c
+    "from test_reducer import reduce_witness_members as r; print(r(4, [7]))"
+    """
+    flows = groups.flows_array(n)
+    fibers = pairs = searches = 0
+    for orb in itertools.islice(markov.orbit_layers(flows, n), max(degrees)):
+        if orb.degree not in degrees:
+            continue
+        wid, members = moves.witness_fibers(orb.witnesses, flows, n)
+        least = {}
+        for w, rows in zip(wid.tolist(), flows[members].tolist()):
+            t1 = Table(tuple(rows), n)
+            t0 = least.setdefault(w, t1)
+            if t0 is t1:
+                continue
+            res = reduce_pair(t0, t1)
+            assert res.success, (t0, t1, res.message)
+            assert not res.diagnostics.fallback_cases, (t0, t1)
+            assert trace_is_valid(t0, t1, res.steps)
+            searches += sum(res.diagnostics.strategy_cases.values())
+            pairs += 1
+        fibers += len(least)
+    return fibers, pairs, searches
+
+
 def test_reduce_every_member_of_witness_fibers():
     # every member of every orbit witness's fiber reduces to the fiber's
     # least member with a replay-valid trace and no fallback: 941 pairs at
     # n=3 to degree 8, 39837 at n=4 to degree 6, 16492 at n=5 to degree 4
     for n, max_degree, expected in ((3, 8, 941), (4, 6, 39837),
                                     (5, 4, 16492)):
-        flows = groups.flows_array(n)
-        pairs = 0
-        for orb in itertools.islice(markov.orbit_layers(flows, n),
-                                    max_degree):
-            wid, members = moves.witness_fibers(orb.witnesses, flows, n)
-            least = {}
-            for w, rows in zip(wid.tolist(), flows[members].tolist()):
-                t1 = Table(tuple(rows), n)
-                t0 = least.setdefault(w, t1)
-                if t0 is t1:
-                    continue
-                res = reduce_pair(t0, t1)
-                assert res.success, (t0, t1, res.message)
-                assert not res.diagnostics.fallback_cases, (t0, t1)
-                assert trace_is_valid(t0, t1, res.steps)
-                pairs += 1
+        _, pairs, _ = reduce_witness_members(n, range(1, max_degree + 1))
         assert pairs == expected, n
 
 
@@ -569,6 +620,42 @@ def test_k2_traces_match_pinned_digest():
             break
     assert (taken, searches) == (30, 37)
     assert digest.hexdigest() == PINNED_K2_TRACE_DIGEST
+
+
+# SHA-256 of the nodes spent and the traces of the searches that ask for a
+# lower distance rather than a shared row (below > 1): reduce_hamming_ge4 on
+# the stripped GE4_PAIRS, reduce_hamming_3 on _abc_pairs, and the routine
+# that fits on every stripped n=9 degree-5 pair of _far_pairs; computed
+# while each search still built, scored and kept every child it reached.
+PINNED_FAR_TRACE_DIGEST = (
+    "aa1efe0d1389a75e4f7dba2125e584c0deefb776dda64876c0a3b81df0e98414")
+
+
+def _far_pairs():
+    # stripped n=9 pairs of degree 5 that keep every row, at minimal cross
+    # distance >= 3
+    rng = random.Random(5)
+    for _ in range(300):
+        sa, sb = _stripped(*random_compatible_pair(9, 5, rng))
+        if len(sa.rows) == 5 and min_cross_k(sa.rows, sb.rows, 9) >= 3:
+            yield sa, sb
+
+
+def test_far_traces_match_pinned_digest():
+    pairs = [*(_stripped(Table.from_strings(rows0), Table.from_strings(rows1))
+               for rows0, rows1 in GE4_PAIRS), *_abc_pairs(), *_far_pairs()]
+    digest = hashlib.sha256()
+    routines = Counter()
+    for sa, sb in pairs:
+        k = min_cross_k(sa.rows, sb.rows, sa.n)
+        routine = reduce_hamming_ge4 if k >= 4 else reduce_hamming_3
+        budget = Budget(4000)
+        steps = routine(sa, sb, budget, FiberCache())
+        routines[routine.__name__] += 1
+        digest.update(json.dumps([4000 - budget.nodes,
+                                  [s.to_json() for s in steps]]).encode())
+    assert routines == {"reduce_hamming_ge4": 26, "reduce_hamming_3": 128}
+    assert digest.hexdigest() == PINNED_FAR_TRACE_DIGEST
 
 
 def _unpruned_pinch(a, b):
