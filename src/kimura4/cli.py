@@ -44,8 +44,11 @@ def _emit(args: argparse.Namespace, payload: dict, summary: str) -> None:
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set so far (Linux reports KiB)."""
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    """The largest peak resident set so far of this process and of its
+    finished worker processes (Linux reports KiB)."""
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(kib / 1024, 1)
 
 
 def _face(args: argparse.Namespace) -> Optional[FaceSpec]:
@@ -86,8 +89,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         print(f"trace {'valid' if ok else 'does not join the pair'}: "
               f"{len(steps)} step(s)")
         return EXIT_OK if ok else EXIT_INVALID
+    t = time.perf_counter()
     res = reducer.reduce_pair(t0, t1, max_degree=args.max_degree,
                               node_budget=args.budget)
+    elapsed = round(time.perf_counter() - t, 3)
     if args.trace:
         write_trace(args.trace, res.steps)
     payload = {
@@ -95,6 +100,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "steps": len(res.steps),
         "max_move_degree": max((s.move.degree for s in res.steps), default=0),
         "diagnostics": res.diagnostics.to_json(),
+        "elapsed_s": elapsed,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _emit(args, payload,
           f"{'reduced' if res.success else 'BUDGET EXHAUSTED'} in "
@@ -189,28 +196,20 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
-def _fuzz_chunk(job: tuple) -> reducer.FuzzReport:
-    n, max_d, count, seed, budget = job
-    return reducer.fuzz_reduce(n, max_d, count, seed, node_budget=budget)
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    if args.max_table_degree < 2:
+        raise ValueError("--max-table-degree must be at least 2")
     threads = args.threads or multiprocessing.cpu_count()
-    per = [args.count // threads] * threads
-    for i in range(args.count % threads):
-        per[i] += 1
-    jobs = [(args.leaves, args.max_table_degree, c, args.seed + 1000 * i,
-             args.budget)
-            for i, c in enumerate(per) if c]
     t0 = time.perf_counter()
-    if len(jobs) > 1:
-        with multiprocessing.Pool(len(jobs)) as pool:
-            parts = pool.map(_fuzz_chunk, jobs)
-    else:
-        parts = [_fuzz_chunk(jobs[0])]
-    rep = reducer.FuzzReport.merged(parts)
+    with multiprocessing.Pool(min(threads, args.count)) as pool:
+        rep = reducer.fuzz_reduce(args.leaves, args.max_table_degree,
+                                  args.count, args.seed,
+                                  node_budget=args.budget, pool=pool)
     payload = rep.to_json()
     payload["elapsed_s"] = round(time.perf_counter() - t0, 3)
+    payload["peak_rss_mb"] = _peak_rss_mb()
     _emit(args, payload,
           f"fuzz: {rep.reduced}/{rep.total} reduced, {rep.replay_valid} "
           f"replay-valid, {sum(rep.fallbacks.values())} strategy gap(s)")

@@ -11,11 +11,11 @@ best-first search over the legal exchanges of `moves.exchanges`, and all
 of a reduction's searches spend one node budget.  A search whose frontier
 empties is a strategy gap: its case label is logged and the reduction ends
 unreduced.  A search tests each exchange for the goal by the rows it
-inserts, and builds and scores children, each once from its parent's
-per-row nearest distances (`NearestRows`), only when an expansion holds
-no goal.  Every returned trace is replay-validated; an invalid trace is
-never returned.  Column merging with trace lifting (`merge_columns`) is a
-library utility that reduce_pair does not call.
+inserts, and builds and scores children, from memoised row-to-row
+distances (`NearestRows`), only when an expansion holds no goal.  Every
+returned trace is replay-validated; an invalid trace is never returned.
+Column merging with trace lifting (`merge_columns`) is a library utility
+that reduce_pair does not call.
 
 Reduction itself is deterministic; randomness only enters the fuzz-pair
 samplers, which draw everything from one seeded generator.
@@ -23,18 +23,22 @@ samplers, which draw everything from one seeded generator.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import groups
 from .moves import (FiberCache, Move, TraceStep, apply_move, exchanges,
                     profile_fiber, replay_trace, trace_is_valid)
 from .tables import Table, column_mask, compatible
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
 
 
 class BudgetExhausted(Exception):
@@ -189,19 +193,15 @@ SearchState = tuple[tuple[int, ...], tuple[int, ...]]
 
 class NearestRows:
     """Least Hamming distances from rows to the sides of one search's
-    states, updated child by child.
+    states, memoised row by row.
 
     `to_rows[side]` maps every row scanned against the sorted row tuple
-    `side` to its least distance there; a state's side-0 rows are kept
-    against its side 1.  `reaches` tests a child for the goal by the rows
-    it inserts.  A side-0 child keeps side 1, so it looks its kept rows up
-    and scans only the <= 4 rows it inserts.  A side-1 child keeps side 0:
-    each side-0 row's distance becomes the least of its parent's and its
-    distances to the inserted rows, except that a row whose minimum a
-    removed row may have held, and no inserted row reaches, is rescanned
-    against the new side 1.  Those row-to-row distances are memoised per
-    side-0 tuple, one column per side-1 row.  A side-1 child's distances
-    are stored only when it joins the frontier (`keep`).
+    `side` to its least distance there.  `reaches` tests a child for the
+    goal by the rows it inserts.  A side-0 child keeps side 1, so it looks
+    its rows up there and scans only those missing.  A side-1 child keeps
+    side 0: each side-0 row's distance is the least over the columns of
+    the child's side-1 rows, the row-to-row distances memoised per side-0
+    tuple, one column per side-1 row.
     """
 
     def __init__(self, ra: tuple[int, ...], rb: tuple[int, ...], n: int):
@@ -210,8 +210,6 @@ class NearestRows:
         self.to_rows: dict[tuple[int, ...], dict[int, int]] = {
             rb: dict(zip(ra, self.start))}
         self.columns: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-        self._state: Optional[SearchState] = None
-        self._old: list[int] = []
 
     def reaches(self, side: tuple[int, ...], rows: Sequence[int],
                 below: int) -> bool:
@@ -230,23 +228,19 @@ class NearestRows:
                 return True
         return False
 
-    def child(self, state: SearchState, side: int, removed: tuple[int, ...],
-              inserted: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
+    def child(self, state: SearchState, side: int,
+              rows: tuple[int, ...]) -> list[int]:
         """The least distances of a child's side-0 rows, in row order: the
-        child replaces side `side` of `state` by `rows`, exchanging
-        `removed` for `inserted`."""
+        child replaces side `side` of `state` by `rows`."""
         ra, rb = state
         m = self.mask
         if side == 0:
-            near = self.to_rows[rb]
-            for x in inserted:
+            near = self.to_rows.setdefault(rb, {})
+            for x in rows:
                 if x not in near:
                     near[x] = min([(((z := x ^ y) | z >> 1) & m).bit_count()
                                    for y in rb])
             return list(map(near.__getitem__, rows))
-        if state is not self._state:
-            self._state = state
-            self._old = list(map(self.to_rows[rb].__getitem__, ra))
         cols = self.columns.setdefault(ra, {})
 
         def column(y: int) -> tuple[int, ...]:
@@ -256,21 +250,8 @@ class NearestRows:
                                      for x in ra])
             return c
 
-        to_ins = map(min, *map(column, inserted))
-        to_rem = map(min, *map(column, removed))
-        out = []
-        for j, (old, ins, rem) in enumerate(zip(self._old, to_ins, to_rem)):
-            if ins <= old:
-                out.append(ins)
-            elif rem > old:  # a kept row still holds the minimum
-                out.append(old)
-            else:
-                out.append(min([column(y)[j] for y in rows]))
-        return out
-
-    def keep(self, state: SearchState, dists: Sequence[int]) -> None:
-        """Store the distances of a state that joins the frontier."""
-        self.to_rows.setdefault(state[1], {}).update(zip(state[0], dists))
+        # row-disjoint compatible sides hold at least two rows each
+        return list(map(min, *map(column, rows)))
 
 
 # A frontier state's parent, the side it changed, and the rows that side
@@ -349,13 +330,12 @@ def _best_first(a: Table, b: Table, below: int, budget: Budget,
                 if child in seen:
                     continue
                 seen.add(child)
-                dists = near.child(state, side, sub, repl, rows)
-                children.append((_score(dists), next(counter), child, dists,
+                children.append((_score(near.child(state, side, rows)),
+                                 next(counter), child,
                                  (state, side, sub, repl)))
         budget.children += len(children)
         children.sort(key=lambda t: t[0])
-        for score, count, child, dists, parent in children[:BEAM]:
-            near.keep(child, dists)
+        for score, count, child, parent in children[:BEAM]:
             parents[child] = parent
             heapq.heappush(frontier, (score, count, child))
     return None
@@ -825,43 +805,41 @@ class FuzzReport:
             "failures": self.failures,
         }
 
-    @classmethod
-    def merged(cls, reports: Sequence["FuzzReport"]) -> "FuzzReport":
-        """One report summing the counts of reports over disjoint pairs."""
-        out = cls(0, 0, 0, Counter(), 0, [], Counter())
-        for r in reports:
-            out.total += r.total
-            out.reduced += r.reduced
-            out.replay_valid += r.replay_valid
-            out.fallbacks.update(r.fallbacks)
-            out.max_trace_len = max(out.max_trace_len, r.max_trace_len)
-            out.failures.extend(r.failures)
-            out.search.update(r.search)
-            out.routines.update(r.routines)
-        return out
+
+def _fuzz_outcome(pair: tuple[Table, Table], node_budget: int
+                  ) -> tuple[ReduceResult, bool]:
+    """Reduce one fuzz pair and replay its trace independently."""
+    t0, t1 = pair
+    res = reduce_pair(t0, t1, node_budget=node_budget)
+    return res, res.success and trace_is_valid(t0, t1, res.steps, 4)
 
 
 def fuzz_reduce(n: int, max_d: int, count: int, seed: int,
-                *, node_budget: int = 10_000) -> FuzzReport:
-    """Reduce `count` seeded random compatible pairs with moves of degree
-    <= 4; every output trace is replayed independently."""
+                *, node_budget: int = 10_000,
+                pool: Optional[Pool] = None) -> FuzzReport:
+    """Reduce `count` random compatible pairs of degree 2..max_d with moves
+    of degree <= 4; every output trace is replayed independently.
+
+    Every pair is drawn here from one generator seeded with `seed`, and
+    reduction uses no randomness, so the report does not depend on
+    `pool`, an optional multiprocessing pool that runs the reductions.
+    """
     rng = random.Random(seed)
+    pairs = [random_compatible_pair(n, rng.randint(2, max_d), rng)
+             for _ in range(count)]
+    outcomes = (pool.imap if pool else map)(
+        functools.partial(_fuzz_outcome, node_budget=node_budget), pairs)
     rep = FuzzReport(count, 0, 0, Counter(), 0, [], Counter())
-    for i in range(count):
-        d = rng.randint(2, max_d)
-        t0, t1 = random_compatible_pair(n, d, rng)
-        res = reduce_pair(t0, t1, node_budget=node_budget)
+    for i, ((t0, t1), (res, valid)) in enumerate(zip(pairs, outcomes)):
         rep.fallbacks.update(res.diagnostics.fallback_cases)
         rep.search.update(res.diagnostics.search_counts())
         rep.routines.update(res.diagnostics.routines)
-        reason = res.message
-        if res.success:
-            rep.reduced += 1
-            if trace_is_valid(t0, t1, res.steps, 4):
-                rep.replay_valid += 1
-                rep.max_trace_len = max(rep.max_trace_len, len(res.steps))
-                continue
-            reason = "replay failed"
-        rep.failures.append({"pair": i, "reason": reason,
+        rep.reduced += res.success
+        if valid:
+            rep.replay_valid += 1
+            rep.max_trace_len = max(rep.max_trace_len, len(res.steps))
+            continue
+        rep.failures.append({"pair": i,
+                             "reason": res.message or "replay failed",
                              "t0": t0.row_strings(), "t1": t1.row_strings()})
     return rep

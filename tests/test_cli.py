@@ -46,7 +46,9 @@ def test_reduce_roundtrip_with_trace(tmp_path, capsys):
     rc = main(["reduce", "--input", str(pair), "--trace", str(trace),
                "--out", str(report)])
     assert rc == 0
-    diag = json.loads(report.read_text())["diagnostics"]
+    payload = json.loads(report.read_text())
+    assert payload["elapsed_s"] >= 0 and payload["peak_rss_mb"] > 0
+    diag = payload["diagnostics"]
     assert set(diag) >= {"nodes_spent", "fiber_cache_hits",
                          "fiber_cache_misses", "fiber_cap_hits", "routines"}
     assert set(diag["routines"]) == ROUTINE_KEYS
@@ -250,6 +252,34 @@ def test_fuzz_cli(tmp_path):
     assert set(payload["routines"]) == ROUTINE_KEYS
     assert payload["routines"]["pinch_calls"] > 0
     assert payload["config"]["seed"] == 9
+    assert payload["elapsed_s"] >= 0 and payload["peak_rss_mb"] > 0
+
+
+def test_fuzz_cli_report_ignores_threads(tmp_path):
+    # every pair is drawn in the parent from one seeded stream, so the
+    # worker count changes only the time and memory figures
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fuzz{threads}.json"
+        assert main(["fuzz", "--count", "12", "--seed", "1",
+                     "--threads", threads, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        for key in ("elapsed_s", "peak_rss_mb", "config"):
+            del payload[key]
+        payload["routines"] = {k: v for k, v in payload["routines"].items()
+                               if not k.endswith("_s")}
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--count", "0", "--count must be at least 1"),
+    ("--count", "-1", "--count must be at least 1"),
+    ("--max-table-degree", "1", "--max-table-degree must be at least 2"),
+])
+def test_fuzz_cli_rejects_bad_sizes(capsys, flag, value, message):
+    assert main(["fuzz", flag, value, "--threads", "1"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_invalid_input_exit_code(tmp_path):
