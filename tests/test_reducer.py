@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -544,10 +545,22 @@ def test_fuzz_reduce_batch():
     assert rep.reduced == 100
     assert rep.replay_valid == 100
     assert not rep.failures
+
+
+def test_fuzz_reports_merge():
+    # the report merges per-pair outcomes in pair order, so a pool of
+    # workers gives the same report as reducing the pairs in turn
     b = fuzz_reduce(8, 9, 6, seed=5, node_budget=1)  # one pair runs out
     assert b.failures and b.search["fiber_cap_hits"]
     assert b.total == 6 and b.reduced == b.replay_valid == 6 - len(b.failures)
     assert b.routines["pair_search_calls"] > 0
+    with multiprocessing.Pool(2) as pool:
+        pooled = fuzz_reduce(8, 9, 6, seed=5, node_budget=1, pool=pool)
+    timings = [k for k in b.routines if k.endswith("_s")]
+    for rep in (b, pooled):
+        for k in timings:
+            del rep.routines[k]
+    assert pooled.to_json() == b.to_json()
 
 
 # SHA-256 of the traces of _pinned_pairs, computed when capped fibers were
